@@ -74,8 +74,7 @@ main(int argc, char **argv)
                   "Layout algorithm ablation, stream fetch engine "
                   "(8-wide)");
     cli.addStandard(&opts, CliParser::kInsts | CliParser::kBench |
-                               CliParser::kJobs |
-                               CliParser::kArena);
+                               CliParser::kJobs);
     cli.parseOrExit(argc, argv);
     opts.benches = resolveBenches(opts.benches);
 
@@ -88,7 +87,6 @@ main(int argc, char **argv)
         opts.benches.size(), std::vector<Result>(kNumLayouts));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     driver.forEachWorkload(
         opts.benches, [&](const PlacedWorkload &work, std::size_t i) {
             const std::vector<std::vector<BlockId>> orders = {

@@ -41,7 +41,6 @@ main(int argc, char **argv)
                 cfgs.push_back(opts.stamped(arch, width, opt));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;

@@ -30,7 +30,14 @@
  * From v2: one row per (bench, engine, oracle mode) with the default
  * bench set covering every registered workload family, and the
  * `sweep` amortization object (3 engines x 2 widths through
- * SweepDriver, live vs arena, decode cost included).
+ * SweepDriver, private windows vs a shared arena, decode cost
+ * included).
+ *
+ * Oracle modes: `"arena": true` rows replay the bench's shared full
+ * arena; `"arena": false` rows (and the sweep's `live_seconds`)
+ * decode the committed path into each run's private window, the
+ * path every run without a shared arena takes. Before windows those
+ * rows generated the path live, hence the key name.
  *
  * Methodology: each (benchmark, engine) point is run `--reps` times
  * serially on a cached workload after one untimed warmup run; the
@@ -165,7 +172,7 @@ measure(const PlacedWorkload &work, const SimConfig &cfg,
 
 /**
  * The multi-point amortization measurement: one shared-workload grid
- * through the sweep driver, per-point live generation vs the shared
+ * through the sweep driver, per-point private windows vs the shared
  * arena. The arena sweep itself replays a cached decode (the per-row
  * phase — like any earlier sweep in a process — has already built
  * it), so the decode is measured separately with a *fresh*, uncached
@@ -387,7 +394,7 @@ main(int argc, char **argv)
     tp.addHeader({"bench", "engine", "oracle", "Minsts/s",
                   "Mcycles/s", "cov", "sim IPC", "allocs/cycle"});
     for (const Row &r : rows) {
-        tp.addRow({r.bench, r.spec, r.arena ? "arena" : "live",
+        tp.addRow({r.bench, r.spec, r.arena ? "arena" : "window",
                    TablePrinter::fmt(
                        r.committed / r.bestSeconds / 1e6, 2),
                    TablePrinter::fmt(r.cycles / r.bestSeconds / 1e6,
@@ -401,7 +408,7 @@ main(int argc, char **argv)
     if (sweep.measured) {
         std::printf(
             "\nsweep amortization (%zu points: %s, widths 4+8): "
-            "live %.2fs, arena %.2fs (one cold decode %.3fs + "
+            "windows %.2fs, arena %.2fs (one cold decode %.3fs + "
             "replay %.2fs) -> %.2fx\n",
             sweep.points, sweep.bench.c_str(), sweep.liveSeconds,
             sweep.arenaSeconds(), sweep.decodeSeconds,

@@ -37,7 +37,6 @@ main(int argc, char **argv)
             cfgs.push_back(opts.stamped(arch, 8, opt));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;

@@ -1,12 +1,12 @@
 /**
  * @file
  * Compare fetch architectures on one benchmark, both code layouts,
- * at a chosen pipe width — a one-benchmark slice of the paper's
+ * at chosen pipe widths — a one-benchmark slice of the paper's
  * evaluation. Defaults to the paper's four engines; `--arch` swaps
  * in any registered specs.
  *
  * Usage: arch_compare [benchmark] [width]
- *        arch_compare --bench gcc --width 8 --arch stream,seq
+ *        arch_compare --bench gcc --widths 4,8 --arch stream,seq
  */
 
 #include <cstdio>
@@ -25,19 +25,14 @@ main(int argc, char **argv)
     CliOptions opts;
     opts.insts = 1'000'000;
     opts.benches = {"gcc"};
-    unsigned width = 8;
+    opts.widths = {8};
 
     CliParser cli("arch_compare",
                   "registered fetch architectures on one benchmark, "
                   "both layouts");
-    cli.addStandard(&opts, CliParser::kInsts | CliParser::kBench |
-                               CliParser::kJobs | CliParser::kFormat |
-                               CliParser::kArch |
-                               CliParser::kArena);
-    cli.addOption("--width", "2|4|8", "pipe width (default 8)",
-                  [&](const std::string &v) {
-                      width = CliParser::parseUnsignedList(v).at(0);
-                  });
+    cli.addStandard(&opts, CliParser::kInsts | CliParser::kWidths |
+                               CliParser::kBench | CliParser::kJobs |
+                               CliParser::kFormat | CliParser::kArch);
     int positionals = 0;
     cli.onPositional("[benchmark] [width]",
                      "benchmark name and pipe width, in order",
@@ -45,8 +40,7 @@ main(int argc, char **argv)
                          if (positionals == 0)
                              opts.benches = {v};
                          else if (positionals == 1)
-                             width =
-                                 CliParser::parseUnsignedList(v).at(0);
+                             opts.widths = CliParser::parseWidthList(v);
                          else
                              throw std::invalid_argument(
                                  "too many arguments");
@@ -55,8 +49,10 @@ main(int argc, char **argv)
     cli.parseOrExit(argc, argv);
 
     const std::string bench = requireSingleBench(opts, "arch_compare");
-    std::printf("benchmark %s, %u-wide pipeline\n\n", bench.c_str(),
-                width);
+    std::printf("benchmark %s, widths", bench.c_str());
+    for (unsigned width : opts.widths)
+        std::printf(" %u", width);
+    std::printf("\n\n");
 
     const PlacedWorkload &work = WorkloadCache::instance().get(bench);
     std::printf("static insts: %llu, blocks: %zu, "
@@ -68,12 +64,12 @@ main(int argc, char **argv)
                 work.optImage().numStubs());
 
     std::vector<SimConfig> cfgs;
-    for (const SimConfig &arch : opts.archsOrPaperSet())
-        for (bool opt : {false, true})
-            cfgs.push_back(opts.stamped(arch, width, opt));
+    for (unsigned width : opts.widths)
+        for (const SimConfig &arch : opts.archsOrPaperSet())
+            for (bool opt : {false, true})
+                cfgs.push_back(opts.stamped(arch, width, opt));
 
     SweepDriver driver(opts.jobs);
-    driver.setArenaMode(opts.arena);
     ResultSet rs = driver.run(SweepDriver::grid({bench}, cfgs));
     if (emitMachineReadable(rs, opts.format))
         return 0;
@@ -81,12 +77,12 @@ main(int argc, char **argv)
     const bool verbose = std::getenv("SFETCH_VERBOSE") != nullptr;
 
     TablePrinter tp;
-    tp.addHeader({"architecture", "layout", "IPC", "fetch IPC",
-                  "mispredict", "L1I miss"});
+    tp.addHeader({"architecture", "width", "layout", "IPC",
+                  "fetch IPC", "mispredict", "L1I miss"});
     for (std::size_t i = 0; i < rs.size(); ++i) {
         const ResultRow &r = rs.at(i);
         const SimStats &st = r.stats;
-        tp.addRow({r.cfg.label(),
+        tp.addRow({r.cfg.label(), std::to_string(r.cfg.width),
                    r.cfg.optimizedLayout ? "optimized" : "base",
                    TablePrinter::fmt(st.ipc()),
                    TablePrinter::fmt(st.fetchIpc()),

@@ -5,7 +5,7 @@
  *
  * Usage:
  *   sfetchsim [--arch SPEC[,SPEC...]] [--bench SPEC[,SPEC...]|all]
- *             [--width 2|4|8] [--layout base|opt] [--insts N]
+ *             [--widths W,...] [--layout base|opt] [--insts N]
  *             [--warmup N] [--jobs N] [--format table|csv|json]
  *             [--stats] [--list-archs] [--list-benches]
  *             [--record FILE | --replay FILE]
@@ -22,7 +22,7 @@
  * results on every engine.
  *
  * Examples:
- *   sfetchsim --arch stream --bench gcc --width 8 --layout opt
+ *   sfetchsim --arch stream --bench gcc --widths 4,8 --layout opt
  *   sfetchsim --arch stream:ftq=8,single_table=1,seq --bench all
  *   sfetchsim --bench loops:depth=4,trips=32,server --stats
  *   sfetchsim --bench phased --record phased.sftr
@@ -48,7 +48,7 @@ main(int argc, char **argv)
     opts.benches = {"gcc"};
     opts.archs = {SimConfig("stream")};
 
-    unsigned width = 8;
+    opts.widths = {8};
     bool optimized = true;
     bool dump_stats = false;
     std::string record_path;
@@ -57,11 +57,8 @@ main(int argc, char **argv)
     CliParser cli("sfetchsim",
                   "run any registered machine configuration over one "
                   "or more suite benchmarks");
-    cli.addStandard(&opts, CliParser::kSweep | CliParser::kWarmup);
-    cli.addOption("--width", "2|4|8", "pipe width (default 8)",
-                  [&](const std::string &v) {
-                      width = CliParser::parseUnsignedList(v).at(0);
-                  });
+    cli.addStandard(&opts, CliParser::kSweep | CliParser::kWidths |
+                               CliParser::kWarmup);
     cli.addOption("--layout", "base|opt",
                   "code layout (default opt)",
                   [&](const std::string &v) {
@@ -87,9 +84,11 @@ main(int argc, char **argv)
     }
 
     opts.benches = resolveBenches(opts.benches);
+    // Width-major, like sfetchd's grid submits.
     std::vector<SimConfig> cfgs;
-    for (const SimConfig &arch : opts.archs)
-        cfgs.push_back(opts.stamped(arch, width, optimized));
+    for (unsigned width : opts.widths)
+        for (const SimConfig &arch : opts.archs)
+            cfgs.push_back(opts.stamped(arch, width, optimized));
 
     ResultSet rs;
     if (!record_path.empty() || !replay_path.empty()) {
@@ -126,7 +125,6 @@ main(int argc, char **argv)
         }
     } else {
         SweepDriver driver(opts.jobs);
-        driver.setArenaMode(opts.arena);
         rs = driver.run(SweepDriver::grid(opts.benches, cfgs));
     }
     if (emitMachineReadable(rs, opts.format))

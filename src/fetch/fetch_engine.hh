@@ -25,6 +25,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "bpred/ras.hh"
@@ -100,6 +101,21 @@ class FetchBundle
     FetchedInst insts_[kCapacity];
     unsigned n_ = 0;
 };
+
+/**
+ * The pipe-width rule, 1..FetchBundle::kCapacity, in one place: the
+ * processor, the command-line parsers and sfetchd's submit checks
+ * all apply it. Throws std::invalid_argument naming the range.
+ */
+inline void
+checkPipeWidth(unsigned width)
+{
+    if (width == 0 || width > FetchBundle::kCapacity)
+        throw std::invalid_argument(
+            "width " + std::to_string(width) +
+            " is outside the supported range 1.." +
+            std::to_string(FetchBundle::kCapacity));
+}
 
 /** Resolution information passed to redirect(). */
 struct ResolvedBranch

@@ -11,15 +11,10 @@ namespace sfetch
 OracleStream::OracleStream(const CodeImage &image,
                            const WorkloadModel &model,
                            std::uint64_t seed,
-                           const RecordedTrace *replay,
-                           const OracleArena *arena)
+                           const RecordedTrace *replay)
     : image_(&image), gen_(image.program(), model, seed),
-      replay_(replay), arena_(arena)
+      replay_(replay), replayEnd_(replay ? replay->records.size() : 0)
 {
-    if (replay_ && arena_)
-        throw std::invalid_argument(
-            "OracleStream: a recorded-trace replay and an arena "
-            "replay are mutually exclusive");
     ret_stack_.reserve(TraceGenerator::kMaxCallDepth);
 }
 
@@ -28,7 +23,7 @@ OracleStream::nextRecord()
 {
     if (!replay_)
         return gen_.next();
-    if (replayPos_ >= replay_->records.size())
+    if (replayPos_ >= replayEnd_)
         throw std::runtime_error(
             "trace replay exhausted after " +
             std::to_string(replayPos_) +

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "layout/code_image.hh"
-#include "layout/oracle_arena.hh"
 #include "layout/oracle_inst.hh"
 #include "workload/trace_gen.hh"
 
@@ -24,16 +23,16 @@ namespace sfetch
 struct RecordedTrace;
 
 /**
- * Infinite committed instruction stream. Deterministic given
+ * Committed instruction stream, infinite when generated live.
+ * Deterministic given
  * (image, model, seed); two OracleStreams with the same arguments
  * produce identical sequences, which the simulator relies on when
  * comparing fetch architectures.
  *
  * Instructions are generated incrementally — a cursor into the
  * current basic block plus an in-progress stub walk — instead of
- * expanding whole blocks into a queue, so next()/peek() never
- * allocate (the return-address stack reserves its bounded depth up
- * front).
+ * expanding whole blocks into a queue, so next() never allocates
+ * (the return-address stack reserves its bounded depth up front).
  */
 class OracleStream
 {
@@ -42,19 +41,14 @@ class OracleStream
      * @param replay When non-null, the committed control path is
      * read from the recorded trace (which must outlive the stream)
      * instead of being generated live; @p model and @p seed then
-     * only drive the data-address side held elsewhere. A replay that
-     * runs past the end of the trace throws std::runtime_error —
-     * record with enough margin (see recordTrace()).
-     * @param arena When non-null, the fully pre-decoded committed
-     * path (which must outlive the stream and have been built from
-     * the same image/model/seed) is replayed with a bounds-checked
-     * pointer bump — nothing is generated at all. Mutually exclusive
-     * with @p replay.
+     * only drive the data-address side held elsewhere. A replay
+     * ends where the trace does: hasNext() turns false, and next()
+     * past that point throws std::runtime_error — record with
+     * enough margin (see recordTrace()).
      */
     OracleStream(const CodeImage &image, const WorkloadModel &model,
                  std::uint64_t seed,
-                 const RecordedTrace *replay = nullptr,
-                 const OracleArena *arena = nullptr);
+                 const RecordedTrace *replay = nullptr);
 
     /**
      * Next committed instruction. The in-block fast path is inline
@@ -64,97 +58,41 @@ class OracleStream
     OracleInst
     next()
     {
-        ++count_;
-        if (haveLook_) {
-            haveLook_ = false;
-            return look_;
-        }
-        if (arena_) {
-            OracleInst oi;
-            arena_->read(arenaPos_++, oi);
-            return oi;
-        }
-        return produce();
+        OracleInst oi;
+        nextInto(oi);
+        return oi;
     }
 
     /**
-     * next(), writing straight into caller-owned storage (the fetch
-     * buffer slot) instead of returning through a temporary. Every
-     * field of @p out is assigned.
+     * next(), writing straight into caller-owned storage instead of
+     * returning through a temporary. Every field of @p out is
+     * assigned.
      */
     void
     nextInto(OracleInst &out)
     {
-        ++count_;
-        if (haveLook_) {
-            haveLook_ = false;
-            out = look_;
-            return;
-        }
-        if (arena_) {
-            arena_->read(arenaPos_++, out);
-            return;
-        }
         if (!tryEmitInBlock(out))
             out = generate();
     }
 
-    /** Peek without consuming. */
-    const OracleInst &
-    peek()
-    {
-        if (!haveLook_) {
-            if (arena_)
-                arena_->read(arenaPos_++, look_);
-            else
-                look_ = produce();
-            haveLook_ = true;
-        }
-        return look_;
-    }
-
-    std::uint64_t instCount() const { return count_; }
-
-    // Bulk arena-cursor interface for the batched replay core. The
-    // processor verifies a whole fetch bundle against the arena's
-    // raw pcOffsets() span and then consumes the matched run with
-    // one bulkAdvance() — one bounds check per bundle instead of the
-    // per-instruction check inside nextInto().
-
     /**
-     * True when the stream can be consumed in bulk straight from the
-     * arena arrays: arena-backed, and no pending peek() lookahead
-     * (a peek holds one already-consumed instruction in look_, which
-     * a raw-array reader would otherwise replay twice).
+     * False once a recorded trace has no record left for the next
+     * instruction; a live stream never ends.
      */
-    bool bulkReplayable() const { return arena_ && !haveLook_; }
-
-    /** The backing arena (null for live/trace-replay streams). */
-    const OracleArena *arena() const { return arena_; }
-
-    /** Index into the arena of the next unconsumed instruction. */
-    std::uint64_t arenaPos() const { return arenaPos_; }
-
-    /**
-     * Consume @p n instructions that the caller has already decoded
-     * from the arena's raw spans. The caller has bounds-checked the
-     * run (arenaPos() + @p n <= arena()->size()); only valid while
-     * bulkReplayable().
-     */
-    void
-    bulkAdvance(std::uint64_t n)
+    bool
+    hasNext() const
     {
-        count_ += n;
-        arenaPos_ += n;
+        return !replay_ || inBlock_ || stubPc_ != stubStop_ ||
+            replayPos_ < replayEnd_;
     }
 
   private:
     /**
      * The in-block fast path: emit the next non-terminator
      * instruction of the current block, assigning every field of
-     * @p out. The single definition shared by next()/nextInto()/
-     * peek() and generate() — the bit-identity guarantee depends on
-     * all paths emitting exactly the same instructions.
+     * @p out. The single definition shared by nextInto() and
+     * generate() — the bit-identity guarantee depends on both
+     * emitting exactly the same instructions.
      */
     bool
     tryEmitInBlock(OracleInst &out)
@@ -171,16 +109,6 @@ class OracleStream
         return true;
     }
 
-    /** Produce the next instruction (fast path inline). */
-    OracleInst
-    produce()
-    {
-        OracleInst oi;
-        if (tryEmitInBlock(oi))
-            return oi;
-        return generate();
-    }
-
     OracleInst generate();
     void startBlock();
 
@@ -191,8 +119,7 @@ class OracleStream
     TraceGenerator gen_;
     const RecordedTrace *replay_ = nullptr;
     std::size_t replayPos_ = 0;
-    const OracleArena *arena_ = nullptr;
-    std::uint64_t arenaPos_ = 0;
+    std::size_t replayEnd_ = 0; //!< replay_'s record count
 
     // Incremental expansion state: the block being emitted, its
     // precomputed terminator, and the stub walk that follows it.
@@ -204,12 +131,7 @@ class OracleStream
     Addr stubPc_ = kNoAddr; //!< in-progress stub walk; == stubStop_
     Addr stubStop_ = kNoAddr; //!< when there is nothing to walk
 
-    // One-instruction lookahead backing peek().
-    OracleInst look_;
-    bool haveLook_ = false;
-
     std::vector<Addr> ret_stack_;
-    std::uint64_t count_ = 0;
 };
 
 } // namespace sfetch

@@ -1,23 +1,29 @@
 /**
  * @file
- * OracleArena: a flat, immutable, SoA pre-decode of a workload's
- * committed path. The paper's experiments are sweeps — the same
- * benchmark fed through every fetch engine, pipe width, and layout —
- * yet live generation re-walks the CFG (RNG draws, branch-model
- * lookups, stub walks) once per sweep point. The arena runs the
- * generator exactly once and stores the expanded instruction stream
- * in parallel arrays; every sweep point then replays it with a
- * bounds-checked pointer bump, sharing one read-only arena across
- * all threads (gem5-style decode-once / simulate-many).
+ * OracleArena: a flat SoA pre-decode of a workload's committed path,
+ * the one form in which the processor consumes that path.
+ *
+ * A full arena decodes a whole run once. The paper's experiments are
+ * sweeps — the same benchmark fed through every fetch engine, pipe
+ * width, and layout — so the sweep driver decodes each (bench,
+ * layout, run length) once and every point replays it, sharing one
+ * read-only arena across all threads (decode-once/simulate-many).
+ * A run with no shared arena replays a window (makeWindow()): a
+ * private arena of kWindowInsts instructions, allocated once and
+ * refilled in place by the same generator loop, fed live or from a
+ * recorded SFTR trace, so its memory is bounded however long it
+ * runs. A full arena is a window that never refills. Instructions
+ * are addressed by absolute committed-path index; a window holds
+ * [begin(), size()).
  *
  * Storage is structure-of-arrays and packed for sequential streaming:
  *
  *   - pcOff_[i]   u32 byte offset of instruction i from the image
  *                 base (the committed path never leaves the image);
- *                 entry size()+1 exists so nextPc is pcOff_[i+1] —
- *                 the committed successor of instruction i *is* the
- *                 next committed instruction, so nextPc needs no
- *                 array of its own.
+ *                 one entry past the last instruction exists so
+ *                 nextPc is pcOff_[i+1] — the committed successor of
+ *                 instruction i *is* the next committed instruction,
+ *                 so nextPc needs no array of its own.
  *   - meta_[i]    u8: InstClass (bits 0-2), BranchType (bits 3-5),
  *                 taken (bit 6).
  *   - block_[i]   u32 owning BlockId (kNoBlock for layout stubs).
@@ -28,19 +34,21 @@
  *
  * Memory cost: 9 bytes per committed instruction plus 8 bytes per
  * load/store, i.e. ~11-12 MB per million instructions for typical
- * instruction mixes. An arena for a full paper-scale run (2M + 0.3M
- * warmup) is ~28 MB, built once per (bench, layout, run length).
+ * instruction mixes. A full arena for a paper-scale run (2M + 0.3M
+ * warmup) is ~28 MB, built once per (bench, layout, run length); a
+ * window is ~140 KB whatever the run length.
  *
- * Bit-identity: the arena is built by running the live OracleStream
- * and recording exactly what it produced, so an arena-backed replay
- * is bit-identical to live generation by construction; the golden
- * stats suite pins this for every engine.
+ * Bit-identity: an arena is filled by running the live OracleStream
+ * and recording exactly what it produced, so a replay is
+ * bit-identical to generation by construction; the golden stats
+ * suite pins this for every engine.
  */
 
 #ifndef SFETCH_LAYOUT_ORACLE_ARENA_HH
 #define SFETCH_LAYOUT_ORACLE_ARENA_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "layout/code_image.hh"
@@ -50,8 +58,10 @@
 namespace sfetch
 {
 
+struct RecordedTrace;
+
 /**
- * A priori per-instruction estimate of an arena's heap cost, for
+ * A priori per-instruction estimate of a full arena's heap cost, for
  * admission decisions made *before* any decode: 9 B/inst of control
  * path (u32 pc offset + meta byte + u32 block id) plus 8 B per
  * load/store of pre-generated data address; the suite's instruction
@@ -61,10 +71,18 @@ namespace sfetch
  */
 constexpr std::size_t kArenaBytesPerInstEstimate = 12;
 
-/** Immutable pre-decoded committed path (see file comment). */
+/** Pre-decoded committed path (see file comment). */
 class OracleArena
 {
   public:
+    /**
+     * Capacity of a window, in instructions. A refill keeps the
+     * caller's in-flight tail, so the tail must stay well under half
+     * of this for each refill to bring in at least half a window of
+     * fresh instructions (see Processor's constructor check).
+     */
+    static constexpr std::uint64_t kWindowInsts = std::uint64_t(1) << 13;
+
     /**
      * Decode @p insts committed instructions of (@p image, @p model,
      * @p seed) by running the live generator once. The caller sizes
@@ -73,6 +91,18 @@ class OracleArena
      */
     OracleArena(const CodeImage &image, const WorkloadModel &model,
                 std::uint64_t seed, std::uint64_t insts);
+
+    /**
+     * A private window over the committed path of (@p image,
+     * @p model, @p seed), holding its first kWindowInsts
+     * instructions. With @p replay the control path comes from the
+     * recorded trace (which must outlive the window) instead of live
+     * generation; the window then ends where the trace does.
+     */
+    static std::unique_ptr<OracleArena>
+    makeWindow(const CodeImage &image, const WorkloadModel &model,
+               std::uint64_t seed,
+               const RecordedTrace *replay = nullptr);
 
     /** Generation seed the committed path was decoded with. */
     std::uint64_t seed() const { return seed_; }
@@ -85,18 +115,24 @@ class OracleArena
      */
     const CodeImage *image() const { return image_; }
 
-    /** Number of replayable instructions. */
+    /**
+     * One past the last instruction decoded so far: for a full
+     * arena, the number of replayable instructions.
+     */
     std::uint64_t size() const { return size_; }
 
-    /** Number of pre-generated data-access addresses. */
-    std::uint64_t dataCount() const { return dataAddr_.size(); }
+    /** First instruction still held (0 unless a window refilled). */
+    std::uint64_t begin() const { return lo_; }
+
+    /** One past the last data-access address generated so far. */
+    std::uint64_t dataCount() const { return dataLo_ + dataAddr_.size(); }
 
     /** Approximate heap footprint in bytes. */
     std::size_t bytes() const;
 
     /**
      * Process-wide sum of bytes() over every OracleArena currently
-     * alive, whichever cache or caller holds it (maintained by
+     * alive, whichever cache, caller or run holds it (maintained by
      * construction/destruction). This is the ground truth sfetchd's
      * `stats` verb reports against the memory budget: cache-level
      * accounting can miss arenas kept alive by outstanding
@@ -109,9 +145,21 @@ class OracleArena
     OracleArena &operator=(const OracleArena &) = delete;
 
     /**
-     * Read instruction @p i into @p out (every field assigned): the
-     * arena-backed OracleStream::nextInto(). Reading past the end
-     * throws std::runtime_error — build with more margin.
+     * Slide a window forward: drop every instruction before
+     * @p keep_from and every data address before @p keep_data_from,
+     * move the rest to the front of the buffers, and decode fresh
+     * instructions behind them up to the capacity. Indices from
+     * @p keep_from on stay valid. Allocates nothing.
+     */
+    void refill(std::uint64_t keep_from, std::uint64_t keep_data_from);
+
+    /** Number of refill() calls so far. */
+    std::uint64_t refills() const { return refills_; }
+
+    /**
+     * Read instruction @p i into @p out (every field assigned).
+     * Reading past size() throws std::runtime_error — decode (or
+     * record) with more margin.
      */
     void
     read(std::uint64_t i, OracleInst &out) const
@@ -123,34 +171,43 @@ class OracleArena
 
     // Raw SoA spans for the batched replay core: the processor's
     // bulk oracle verify compares a whole fetch bundle against
-    // pcOffsets() with one range compare, then decodes the matched
-    // run straight from meta()/blocks() with the bounds check hoisted
-    // to one test per bundle (via readUnchecked()).
+    // pcOffsetsFrom() with one range compare, then scans the matched
+    // run's metaFrom() bytes, with the bounds check hoisted to one
+    // test per bundle.
 
-    /** Image base address every pcOffsets() entry is relative to. */
+    /** Image base address every pc offset is relative to. */
     Addr base() const { return base_; }
 
-    /** size()+1 u32 byte offsets; entry i+1 is instruction i's nextPc. */
-    const std::uint32_t *pcOffsets() const { return pcOff_.data(); }
+    /**
+     * Pc offsets of instructions @p i .. size(): entry j + 1 is
+     * instruction (@p i + j)'s nextPc.
+     */
+    const std::uint32_t *
+    pcOffsetsFrom(std::uint64_t i) const
+    {
+        return pcOff_.data() + (i - lo_);
+    }
 
-    /** size() packed meta bytes: class bits 0-2, branch type bits
-     *  3-5, taken bit 6. */
-    const std::uint8_t *meta() const { return meta_.data(); }
-
-    /** size() owning block ids (kNoBlock for layout stubs). */
-    const BlockId *blocks() const { return block_.data(); }
+    /** Packed meta bytes of instructions @p i .. size() - 1: class
+     *  bits 0-2, branch type bits 3-5, taken bit 6. */
+    const std::uint8_t *
+    metaFrom(std::uint64_t i) const
+    {
+        return meta_.data() + (i - lo_);
+    }
 
     /** The pointer-bump read itself (bounds already checked). */
     void
     readUnchecked(std::uint64_t i, OracleInst &out) const
     {
-        out.pc = base_ + pcOff_[i];
-        out.nextPc = base_ + pcOff_[i + 1];
-        const std::uint8_t m = meta_[i];
+        const std::uint64_t j = i - lo_;
+        out.pc = base_ + pcOff_[j];
+        out.nextPc = base_ + pcOff_[j + 1];
+        const std::uint8_t m = meta_[j];
         out.cls = static_cast<InstClass>(m & 0x07);
         out.btype = static_cast<BranchType>((m >> 3) & 0x07);
         out.taken = (m & 0x40) != 0;
-        out.block = block_[i];
+        out.block = block_[j];
     }
 
     /** The replay-past-the-end diagnostic, shared with bulk readers. */
@@ -158,30 +215,34 @@ class OracleArena
 
     /**
      * Address of the @p k-th data access (the k-th load or store on
-     * the committed path, in dispatch order). Reading past the end
-     * throws std::runtime_error.
+     * the committed path, in dispatch order). Reading past
+     * dataCount() throws std::runtime_error.
      */
     Addr
     dataAddr(std::uint64_t k) const
     {
-        if (k >= dataAddr_.size())
+        if (k >= dataCount())
             throwDataExhausted(k);
-        return dataAddr_[k];
-    }
-
-    /**
-     * Non-throwing peek at the @p k-th data address (0 past the
-     * end): feeds the processor's host-side cache-model prefetch of
-     * upcoming accesses, a lookahead only the pre-decoded path can
-     * provide.
-     */
-    Addr
-    peekDataAddr(std::uint64_t k) const
-    {
-        return k < dataAddr_.size() ? dataAddr_[k] : 0;
+        return dataAddr_[k - dataLo_];
     }
 
   private:
+    struct Producer;
+
+    /** Window constructor (see makeWindow()). */
+    OracleArena(const CodeImage &image, const WorkloadModel &model,
+                std::uint64_t seed, const RecordedTrace *replay);
+
+    /**
+     * The generator loop both shapes share: decode instructions from
+     * @p p into buffer slots [@p from, @p to) and write the sentinel
+     * pc offset after them. Stops early when a recorded trace runs
+     * out; returns the slot one past the last one filled.
+     */
+    std::uint64_t fill(Producer &p, std::uint64_t from, std::uint64_t to);
+
+    void registerBytes();
+
     [[noreturn]] void throwDataExhausted(std::uint64_t k) const;
 
     /** bytes() at registration time, subtracted by the destructor. */
@@ -190,11 +251,17 @@ class OracleArena
     const CodeImage *image_ = nullptr;
     Addr base_ = 0;
     std::uint64_t seed_ = 0;
-    std::uint64_t size_ = 0;
-    std::vector<std::uint32_t> pcOff_; //!< size_+1 entries
+    std::uint64_t lo_ = 0;     //!< absolute index of buffer slot 0
+    std::uint64_t size_ = 0;   //!< one past the last decoded index
+    std::uint64_t dataLo_ = 0; //!< absolute index of dataAddr_[0]
+    std::vector<std::uint32_t> pcOff_; //!< held instructions + 1
     std::vector<std::uint8_t> meta_;
     std::vector<BlockId> block_;
     std::vector<Addr> dataAddr_;
+
+    /** A window's generator state (null for a full arena). */
+    std::unique_ptr<Producer> producer_;
+    std::uint64_t refills_ = 0;
 };
 
 } // namespace sfetch

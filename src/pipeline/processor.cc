@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "util/simd.hh"
 
@@ -15,30 +16,34 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
                      const RecordedTrace *replay,
                      const OracleArena *arena)
     : cfg_(cfg), engine_(engine), image_(&image), mem_(mem),
-      oracle_(image, model, seed, replay, arena),
-      dstream_(model.data(), seed ^ kDataStreamSeedSalt),
       arena_(arena),
-      expectedPc_(image.entryAddr()),
-      buffer_(cfg.fetchBufferInsts), rob_(cfg.robSize)
+      expectedPc_(image.entryAddr()), rob_(cfg.robSize)
 {
     // Runtime check, not an assert: the width comes from user
     // configuration, and overrunning the inline FetchBundle array in
     // a release build would be silent memory corruption.
-    if (cfg_.width > FetchBundle::kCapacity) {
+    checkPipeWidth(cfg_.width);
+    // A refill keeps the whole in-flight tail (ROB, fetch buffer and
+    // the next bundle's entries plus its nextPc); capping that tail
+    // at half a window makes every refill bring in at least half a
+    // window of fresh instructions.
+    if (cfg_.robSize + cfg_.fetchBufferInsts + FetchBundle::kCapacity +
+            1 > OracleArena::kWindowInsts / 2) {
         throw std::invalid_argument(
-            "ProcessorConfig.width " + std::to_string(cfg_.width) +
-            " exceeds the supported fetch width " +
-            std::to_string(FetchBundle::kCapacity));
+            "ProcessorConfig: ROB plus fetch buffer exceed half an "
+            "oracle window (" +
+            std::to_string(OracleArena::kWindowInsts / 2) + ")");
+    }
+    if (arena_ && replay)
+        throw std::invalid_argument(
+            "Processor: a recorded-trace replay and a shared arena "
+            "are mutually exclusive");
+    if (!arena_) {
+        window_ = OracleArena::makeWindow(image, model, seed, replay);
+        arena_ = window_.get();
     }
 
     batched_ = cfg_.batchedReplay;
-    // The bundle-at-once oracle verify needs the flat committed-path
-    // arrays; live and trace-replay streams fall back to the scalar
-    // per-instruction compare (commit/dispatch still batch).
-    batchedFetch_ = batched_ && arena_ != nullptr;
-
-    bufRecs_ = std::make_unique<OracleInst[]>(buffer_.slotCapacity());
-    robRecs_ = std::make_unique<OracleInst[]>(rob_.slotCapacity());
 
     for (auto &l : latByCls_)
         l = cfg_.latAlu;
@@ -51,20 +56,8 @@ Processor::Processor(const ProcessorConfig &cfg, FetchEngine *engine,
 }
 
 Cycle
-Processor::execLatency(const OracleInst &rec)
+Processor::execLatency(unsigned cls)
 {
-    const unsigned cls = static_cast<unsigned>(rec.cls) & 0x07;
-    if (cls == static_cast<unsigned>(InstClass::Load))
-        return mem_->accessData(nextDataAddr());
-    if (cls == static_cast<unsigned>(InstClass::Store))
-        nextDataAddr(); // stores allocate but retire immediately
-    return latByCls_[cls];
-}
-
-Cycle
-Processor::execLatencyMeta(std::uint8_t mb)
-{
-    const unsigned cls = mb & 0x07;
     if (cls == static_cast<unsigned>(InstClass::Load))
         return mem_->accessData(nextDataAddr());
     if (cls == static_cast<unsigned>(InstClass::Store))
@@ -73,21 +66,27 @@ Processor::execLatencyMeta(std::uint8_t mb)
 }
 
 void
+Processor::refillWindow()
+{
+    // The oldest index in flight is the ROB head's.
+    window_->refill(totalCommitted_, dataPos_);
+    // The host-side prefetch cursor may trail the dropped addresses.
+    dataPrefetched_ = std::max(dataPrefetched_, dataPos_);
+}
+
+void
 Processor::commitStep(SimStats &st)
 {
     unsigned n = 0;
+    OracleInst rec;
     while (!rob_.empty() && n < cfg_.width &&
            totalCommitted_ < stopAt_ &&
            rob_.front().completeAt <= now_) {
-        const RobEntry &e = rob_.front();
         ++n;
-        lastCommittedSeq_ = e.seqNo;
-        ++totalCommitted_;
-
+        arena_->read(totalCommitted_++, rec);
         if (measuring_)
             ++st.committedInsts;
 
-        const OracleInst &rec = robRecs_[rob_.slotOf(0)];
         if (rec.isBranch()) {
             CommittedBranch cb;
             cb.pc = rec.pc;
@@ -124,68 +123,33 @@ Processor::commitStepBatched(SimStats &st)
     if (n == 0)
         return;
 
-    const std::uint64_t a0 = rob_.at(0).arenaIdx;
-    if (a0 != kNoArenaIdx && rob_.at(n - 1).arenaIdx == a0 + n - 1) {
-        // The whole run is consecutive arena positions (the steady
-        // state: arena-ingested entries carry monotonically
-        // increasing indices, and kNoArenaIdx can never equal
-        // a0+n-1). One movemask over the packed meta span finds
-        // every branch; only those entries are touched, with the
-        // committed fields read straight from the SoA arrays —
-        // sequential bytes commit walks a few hundred cycles behind
-        // fetch's verify of the same span.
-        const std::uint8_t *meta = arena_->meta() + a0;
-        const std::uint32_t *offs = arena_->pcOffsets() + a0;
-        const Addr base = arena_->base();
-        std::uint32_t bmask =
-            simd::maskTestU8(meta, static_cast<unsigned>(n), 0x38);
-        while (bmask) {
-            const unsigned j = simd::bottomBit(bmask);
-            bmask &= bmask - 1;
-            const std::uint8_t mb = meta[j];
-            CommittedBranch cb;
-            cb.pc = base + offs[j];
-            cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
-            cb.taken = (mb & 0x40) != 0;
-            cb.target = base + offs[j + 1];
-            engine_->trainCommit(cb);
-            if (measuring_) {
-                ++st.committedBranches;
-                if (cb.type == BranchType::CondDirect)
-                    ++st.committedCondBranches;
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            const RobEntry &e = rob_.at(i);
-            CommittedBranch cb;
-            if (e.arenaIdx != kNoArenaIdx) {
-                const std::uint8_t mb = arena_->meta()[e.arenaIdx];
-                if ((mb & 0x38) == 0)
-                    continue;
-                const std::uint32_t *offs = arena_->pcOffsets();
-                cb.pc = arena_->base() + offs[e.arenaIdx];
-                cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
-                cb.taken = (mb & 0x40) != 0;
-                cb.target = arena_->base() + offs[e.arenaIdx + 1];
-            } else {
-                const OracleInst &rec = robRecs_[rob_.slotOf(i)];
-                if (!rec.isBranch())
-                    continue;
-                cb.pc = rec.pc;
-                cb.type = rec.btype;
-                cb.taken = rec.taken;
-                cb.target = rec.nextPc;
-            }
-            engine_->trainCommit(cb);
-            if (measuring_) {
-                ++st.committedBranches;
-                if (cb.type == BranchType::CondDirect)
-                    ++st.committedCondBranches;
-            }
+    // The run is the committed-path indices from the ROB head on.
+    // One movemask over their packed meta span finds every branch;
+    // only those entries are touched, with the committed fields
+    // read straight from the SoA arrays — sequential bytes commit
+    // walks a few hundred cycles behind fetch's verify of the same
+    // span.
+    const std::uint8_t *meta = arena_->metaFrom(totalCommitted_);
+    const std::uint32_t *offs = arena_->pcOffsetsFrom(totalCommitted_);
+    const Addr base = arena_->base();
+    std::uint32_t bmask =
+        simd::maskTestU8(meta, static_cast<unsigned>(n), 0x38);
+    while (bmask) {
+        const unsigned j = simd::bottomBit(bmask);
+        bmask &= bmask - 1;
+        const std::uint8_t mb = meta[j];
+        CommittedBranch cb;
+        cb.pc = base + offs[j];
+        cb.type = static_cast<BranchType>((mb >> 3) & 0x07);
+        cb.taken = (mb & 0x40) != 0;
+        cb.target = base + offs[j + 1];
+        engine_->trainCommit(cb);
+        if (measuring_) {
+            ++st.committedBranches;
+            if (cb.type == BranchType::CondDirect)
+                ++st.committedCondBranches;
         }
     }
-    lastCommittedSeq_ = rob_.at(n - 1).seqNo;
     totalCommitted_ += n;
     if (measuring_)
         st.committedInsts += n;
@@ -195,39 +159,26 @@ Processor::commitStepBatched(SimStats &st)
 void
 Processor::dispatchStep(SimStats &)
 {
-    // Arena replay knows the addresses of upcoming data accesses, so
-    // the (host) cache lines of the d-cache tag state they will
-    // touch can be fetched ahead of the dependent model lookups —
-    // those sets are effectively random, making them the model's
-    // main memory stalls. Pure host-side hint; no modelled state.
-    if (arena_) {
-        while (dataPrefetched_ < dataPos_ + kDataPrefetchAhead)
-            mem_->prefetchData(
-                arena_->peekDataAddr(dataPrefetched_++));
-    }
-
     unsigned n = 0;
-    while (!buffer_.empty() && n < cfg_.width && !rob_.full()) {
-        const BufEntry &e = buffer_.front();
-        const OracleInst &rec = bufRecs_[buffer_.slotOf(0)];
+    OracleInst rec;
+    while (bufHead() < pos_ && n < cfg_.width && !rob_.full()) {
+        const std::uint64_t idx = bufHead();
+        arena_->read(idx, rec);
         ++n;
 
         RobEntry &re = rob_.push_back_slot();
-        robRecs_[rob_.slotOf(rob_.size() - 1)] = rec;
-        re.seqNo = e.seqNo;
-        re.arenaIdx = kNoArenaIdx;
-        re.completeAt = now_ + execLatency(rec);
+        re.completeAt =
+            now_ + execLatency(static_cast<unsigned>(rec.cls));
         re.dispatchedAt = now_;
 
         if (rec.isBranch()) {
             if (diverged_ && !redirectTimeKnown_ &&
-                re.seqNo == faultingSeq_) {
+                idx == faultingIdx_) {
                 redirectAt_ = now_ + cfg_.branchResolveLat;
                 redirectTimeKnown_ = true;
                 redirectPending_ = true;
             }
         }
-        buffer_.pop_front();
     }
 }
 
@@ -241,52 +192,44 @@ Processor::dispatchStep(SimStats &)
 void
 Processor::dispatchStepBatched(SimStats &)
 {
-    if (arena_) {
-        while (dataPrefetched_ < dataPos_ + kDataPrefetchAhead)
-            mem_->prefetchData(
-                arena_->peekDataAddr(dataPrefetched_++));
-    }
+    // The arena knows the addresses of upcoming data accesses, so
+    // the (host) cache lines of the d-cache tag state they will
+    // touch can be fetched ahead of the dependent model lookups —
+    // those sets are effectively random, making them the model's
+    // main memory stalls. Pure host-side hint; no modelled state.
+    const std::uint64_t ahead = std::min(
+        dataPos_ + kDataPrefetchAhead, arena_->dataCount());
+    while (dataPrefetched_ < ahead)
+        mem_->prefetchData(arena_->dataAddr(dataPrefetched_++));
 
+    const std::uint64_t head = bufHead();
     const std::size_t n = std::min<std::size_t>(
-        {static_cast<std::size_t>(cfg_.width), buffer_.size(),
+        {static_cast<std::size_t>(cfg_.width),
+         static_cast<std::size_t>(pos_ - head),
          static_cast<std::size_t>(cfg_.robSize) - rob_.size()});
     if (n == 0)
         return;
 
     // Once the faulting branch has dispatched (redirectTimeKnown_),
-    // no younger entry can match its seqNo, so the hoisted flag
-    // cannot go stale within the run.
+    // no younger entry can match its index, so the hoisted flag
+    // cannot go stale within the run. Latency and the branch test
+    // come from the packed meta byte; the decoded record is never
+    // materialized.
     const bool await_fault = diverged_ && !redirectTimeKnown_;
+    const std::uint8_t *meta = arena_->metaFrom(head);
     for (std::size_t i = 0; i < n; ++i) {
-        const BufEntry &e = buffer_.at(i);
         RobEntry &re = rob_.push_back_slot();
-        re.seqNo = e.seqNo;
-        re.arenaIdx = e.arenaIdx;
         re.dispatchedAt = now_;
+        const std::uint8_t mb = meta[i];
+        re.completeAt = now_ + execLatency(mb & 0x07);
 
-        bool is_branch;
-        if (e.arenaIdx != kNoArenaIdx) {
-            // Arena-indexed entry: latency and the branch test come
-            // from the packed meta byte; the decoded record is never
-            // materialized.
-            const std::uint8_t mb = arena_->meta()[e.arenaIdx];
-            re.completeAt = now_ + execLatencyMeta(mb);
-            is_branch = (mb & 0x38) != 0;
-        } else {
-            const OracleInst &rec = bufRecs_[buffer_.slotOf(i)];
-            robRecs_[rob_.slotOf(rob_.size() - 1)] = rec;
-            re.completeAt = now_ + execLatency(rec);
-            is_branch = rec.isBranch();
-        }
-
-        if (await_fault && !redirectTimeKnown_ && is_branch &&
-            re.seqNo == faultingSeq_) {
+        if (await_fault && !redirectTimeKnown_ && (mb & 0x38) != 0 &&
+            head + i == faultingIdx_) {
             redirectAt_ = now_ + cfg_.branchResolveLat;
             redirectTimeKnown_ = true;
             redirectPending_ = true;
         }
     }
-    buffer_.pop_front_n(n);
 }
 
 void
@@ -320,8 +263,9 @@ Processor::fetchStep(SimStats &st)
         return;
     }
 
-    std::size_t space = cfg_.fetchBufferInsts > buffer_.size()
-        ? cfg_.fetchBufferInsts - buffer_.size() : 0;
+    const std::uint64_t held = pos_ - bufHead();
+    std::size_t space = cfg_.fetchBufferInsts > held
+        ? cfg_.fetchBufferInsts - held : 0;
     if (space == 0)
         return;
 
@@ -337,7 +281,11 @@ Processor::fetchStep(SimStats &st)
     if (measuring_ && full_opportunity && !out.empty())
         ++st.fetchCyclesAttempted;
 
-    if (batchedFetch_ && oracle_.bulkReplayable())
+    // Both verifies read the bundle's committed entries and the
+    // nextPc after them: have the window hold them first.
+    if (window_ && pos_ + ask > arena_->size())
+        refillWindow();
+    if (batched_)
         verifyBundleBatched(st, full_opportunity);
     else
         verifyBundleScalar(st, full_opportunity);
@@ -358,26 +306,22 @@ Processor::fetchStep(SimStats &st)
 void
 Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
 {
+    OracleInst rec;
     for (const FetchedInst &fi : bundle_) {
         if (!diverged_ && fi.pc == expectedPc_) {
-            BufEntry &be = buffer_.push_back_slot();
-            OracleInst &rec =
-                bufRecs_[buffer_.slotOf(buffer_.size() - 1)];
-            be.seqNo = nextSeq_++;
-            be.arenaIdx = kNoArenaIdx;
-            oracle_.nextInto(rec);
+            arena_->read(pos_, rec);
             assert(rec.pc == fi.pc);
             expectedPc_ = rec.nextPc;
             if (rec.isBranch()) {
-                prev_.pc = fi.pc;
                 prev_.token = fi.token;
-                prev_.seqNo = be.seqNo;
+                prev_.idx = pos_;
                 prev_.rec = rec;
                 havePrev_ = true;
                 lastWasBranch_ = true;
             } else {
                 lastWasBranch_ = false;
             }
+            ++pos_;
             if (measuring_) {
                 ++st.fetchedCorrect;
                 if (full_opportunity)
@@ -400,7 +344,7 @@ Processor::verifyBundleScalar(SimStats &st, bool full_opportunity)
  * The scalar loop compares each fetched PC against expectedPc_ and
  * reads one OracleInst (bounds check included) per instruction. On
  * the arena the committed path is a flat u32 offset span, so the
- * whole bundle reduces to one range compare against pcOffsets() —
+ * whole bundle reduces to one range compare against the offsets —
  * the matched prefix length *is* the number of correct-path
  * instructions, and the first mismatch index is the divergence
  * point. The matched run is then ingested with the bounds check
@@ -419,12 +363,12 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
     if (!diverged_) {
         const OracleArena &ar = *arena_;
         const Addr base = ar.base();
-        const std::uint64_t pos = oracle_.arenaPos();
-        // pcOffsets() holds size()+1 entries; matching the sentinel
-        // entry at index size() means the committed path ran out
-        // mid-bundle (diagnosed below), so include it in the compare
-        // window — exactly the instructions the scalar loop would
-        // have tried to read.
+        const std::uint64_t pos = pos_;
+        // The offsets run through index size(), one past the last
+        // decoded instruction; matching that sentinel entry means
+        // the committed path ran out mid-bundle (diagnosed below),
+        // so include it in the compare window — exactly the
+        // instructions the scalar loop would have tried to read.
         const std::uint64_t entries = ar.size() + 1 - pos;
         const unsigned lim = static_cast<unsigned>(
             std::min<std::uint64_t>(n, entries));
@@ -433,9 +377,8 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
         // offset span, widened to the full address — one pass, no
         // staging buffer, and a wrong-path PC that left the image
         // simply mismatches (no u32 aliasing to guard against).
-        const std::uint32_t *poffs = ar.pcOffsets() + pos;
-        while (m < lim &&
-               bundle_[m].pc == base + Addr(poffs[m]))
+        const std::uint32_t *offs = ar.pcOffsetsFrom(pos);
+        while (m < lim && bundle_[m].pc == base + Addr(offs[m]))
             ++m;
         // Matching entry size() is the scalar path's read(size()):
         // the arena is exhausted, not diverged.
@@ -443,22 +386,12 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
             ar.throwExhausted(ar.size());
 
         if (m > 0) {
-            const std::uint32_t *offs = ar.pcOffsets() + pos;
-            const std::uint8_t *meta = ar.meta() + pos;
-            const std::uint64_t seq0 = nextSeq_;
-            // Index-carrying ingest: the entries point back into the
-            // arena's SoA arrays instead of carrying a decoded
-            // OracleInst — dispatch and commit read the packed spans
-            // directly, so the per-instruction decode and the double
-            // record copy (bundle -> buffer -> ROB) vanish from the
-            // replay path.
-            for (unsigned i = 0; i < m; ++i) {
-                BufEntry &be = buffer_.push_back_slot();
-                be.seqNo = seq0 + i;
-                be.arenaIdx = pos + i;
-            }
-            nextSeq_ += m;
-            oracle_.bulkAdvance(m);
+            // Ingest is an index bump: the fetch buffer is the index
+            // range [bufHead(), pos_), and dispatch and commit read
+            // the packed spans at those indices directly, so no
+            // record is decoded or copied through the pipeline.
+            const std::uint8_t *meta = ar.metaFrom(pos);
+            pos_ += m;
             expectedPc_ = base + offs[m];
 
             // Branch positions of the whole run in one meta scan:
@@ -469,9 +402,8 @@ Processor::verifyBundleBatched(SimStats &st, bool full_opportunity)
                 simd::maskTestU8(meta, m, 0x38);
             if (bmask) {
                 const unsigned j = simd::topBit(bmask);
-                prev_.pc = base + offs[j];
                 prev_.token = bundle_[j].token;
-                prev_.seqNo = seq0 + j;
+                prev_.idx = pos + j;
                 ar.readUnchecked(pos + j, prev_.rec);
                 havePrev_ = true;
             }
@@ -507,7 +439,7 @@ Processor::declareDivergence(SimStats &st)
     faulting_.taken = prev_.rec.taken;
     faulting_.target = prev_.rec.nextPc;
     faulting_.token = prev_.token;
-    faultingSeq_ = prev_.seqNo;
+    faultingIdx_ = prev_.idx;
     silentFetchCycles_ = 0;
 
     if (measuring_) {
@@ -517,23 +449,18 @@ Processor::declareDivergence(SimStats &st)
         st.mispredictsByType[static_cast<unsigned>(faulting_.type)]++;
     }
 
-    // The ROB holds consecutive seqNos in dispatch order, so the
+    // The ROB holds the indices [totalCommitted_, bufHead()), so the
     // faulting branch — if it is in flight — sits at a fixed offset
-    // from the head; its entry carries the dispatch cycle that the
-    // retired branchDispatchAt_ map used to record.
-    if (!rob_.empty() && faultingSeq_ >= rob_.front().seqNo &&
-        faultingSeq_ <= rob_.back().seqNo) {
+    // from the head; its entry carries the dispatch cycle.
+    if (faultingIdx_ >= totalCommitted_ && faultingIdx_ < bufHead()) {
         const RobEntry &e = rob_.at(
-            static_cast<std::size_t>(faultingSeq_ -
-                                     rob_.front().seqNo));
-        assert(e.seqNo == faultingSeq_ &&
-               "ROB seqNos must be consecutive");
+            static_cast<std::size_t>(faultingIdx_ - totalCommitted_));
         redirectAt_ = e.dispatchedAt + cfg_.branchResolveLat;
         if (redirectAt_ <= now_)
             redirectAt_ = now_ + 1;
         redirectTimeKnown_ = true;
         redirectPending_ = true;
-    } else if (faultingSeq_ <= lastCommittedSeq_) {
+    } else if (faultingIdx_ < totalCommitted_) {
         // Already committed and resolved long ago (fetch was stalled
         // meanwhile): deliver the latched resolution next cycle.
         redirectAt_ = now_ + 1;

@@ -23,7 +23,7 @@
 #define SFETCH_PIPELINE_PROCESSOR_HH
 
 #include "fetch/fetch_engine.hh"
-#include "layout/oracle.hh"
+#include "layout/oracle_arena.hh"
 #include "util/fixed_ring.hh"
 #include "util/stats.hh"
 
@@ -166,7 +166,7 @@ class Processor
      * @param cfg Back-end configuration.
      * @param engine Front end under test (not owned).
      * @param image Placed binary (not owned).
-     * @param model Workload behaviour (copied into the oracle).
+     * @param model Workload behaviour.
      * @param mem Memory hierarchy shared with the engine (not owned).
      * @param seed Oracle/data-stream seed (the `ref` input).
      * @param replay Optional recorded control trace (not owned; must
@@ -174,13 +174,13 @@ class Processor
      *        replayed from it instead of generated live; with
      *        matching @p seed the run is bit-identical to live
      *        generation.
-     * @param arena Optional pre-decoded committed path (not owned;
-     *        must outlive the processor and have been built from the
-     *        same image/model/@p seed). When set, both the oracle
-     *        stream and the data-address stream are replayed from
-     *        flat memory — bit-identical to live generation, with no
-     *        workload-model work per instruction. Mutually exclusive
-     *        with @p replay.
+     * @param arena Optional shared full arena (not owned; must
+     *        outlive the processor and have been decoded from the
+     *        same image/model/@p seed). Without one, the processor
+     *        decodes the committed path — live or from @p replay —
+     *        into a private window that it refills as the run
+     *        advances. Either way the run is bit-identical.
+     *        Mutually exclusive with @p replay.
      */
     Processor(const ProcessorConfig &cfg, FetchEngine *engine,
               const CodeImage &image, const WorkloadModel &model,
@@ -198,43 +198,32 @@ class Processor
     /** Total cycles simulated so far (including warmup). */
     Cycle now() const { return now_; }
 
+    /** Private-window refills so far (0 on a shared arena). */
+    std::uint64_t
+    windowRefills() const
+    {
+        return window_ ? window_->refills() : 0;
+    }
+
   private:
     /**
-     * Sentinel arenaIdx: the entry's committed-path record lives in
-     * the ring's parallel rec side array (live/trace oracle, or the
-     * scalar reference verify). Any other value indexes the arena's
-     * SoA arrays and no record is materialized at all — the batched
-     * pipeline reads the packed meta/offset spans directly instead
-     * of copying a decoded OracleInst through the fetch buffer and
-     * the ROB.
+     * ROB entry, 16 bytes. Fetch buffer and ROB hold consecutive
+     * committed-path indices — only correct-path instructions enter
+     * them, in order — so an entry's index is implicit: the ROB
+     * holds [totalCommitted_, bufHead()) and the fetch buffer
+     * [bufHead(), pos_). Dispatch and commit read the arena's packed
+     * meta/offset spans at those indices directly; no decoded record
+     * travels through the pipeline.
      */
-    static constexpr std::uint64_t kNoArenaIdx = ~std::uint64_t(0);
-
-    /**
-     * Fetch-buffer entry, 16 bytes. The decoded record for
-     * non-arena entries lives out-of-line in bufRecs_ (indexed by
-     * the ring's raw slot), so the arena replay path streams through
-     * dense 16-byte slots and never touches the cold 32-byte
-     * records.
-     */
-    struct BufEntry
-    {
-        std::uint64_t seqNo;
-        std::uint64_t arenaIdx; //!< kNoArenaIdx => rec side array
-    };
-
-    /** ROB entry, 32 bytes; records out-of-line in robRecs_. */
     struct RobEntry
     {
         Cycle completeAt;
         /**
          * Dispatch cycle, carried in the entry so a divergence can
-         * schedule the redirect without a side-table lookup (the ROB
-         * holds consecutive seqNos, making the entry O(1) to find).
+         * schedule the redirect of an in-flight faulting branch
+         * without a side-table lookup.
          */
         Cycle dispatchedAt;
-        std::uint64_t seqNo;
-        std::uint64_t arenaIdx; //!< kNoArenaIdx => rec side array
     };
 
     /**
@@ -243,24 +232,27 @@ class Processor
      */
     struct PrevBranch
     {
-        Addr pc;
         std::uint64_t token;
-        std::uint64_t seqNo;
+        std::uint64_t idx; //!< committed-path index
         OracleInst rec;
     };
 
+    /** Index of the fetch buffer's oldest entry (next to dispatch). */
+    std::uint64_t bufHead() const { return totalCommitted_ + rob_.size(); }
+
     /**
-     * Address of the next data access: pre-generated when replaying
-     * from an arena, drawn from the live stream otherwise. Dispatch
-     * is in-order over the committed path, so the consumption order
-     * (and thus the sequence) is identical either way.
+     * Address of the next data access. Dispatch is in-order over
+     * the committed path, so the consumption order (and thus the
+     * sequence) is the arena's pre-generated one.
      */
-    Addr
-    nextDataAddr()
-    {
-        return arena_ ? arena_->dataAddr(dataPos_++)
-                      : dstream_.next();
-    }
+    Addr nextDataAddr() { return arena_->dataAddr(dataPos_++); }
+
+    /**
+     * Slide the private window past everything already committed,
+     * keeping every index still in flight and every data address
+     * not yet consumed.
+     */
+    void refillWindow();
 
     void commitStep(SimStats &st);
     void commitStepBatched(SimStats &st);
@@ -273,9 +265,8 @@ class Processor
     /** Per-instruction verify + ingest (the scalar reference). */
     void verifyBundleScalar(SimStats &st, bool full_opportunity);
     void declareDivergence(SimStats &st);
-    Cycle execLatency(const OracleInst &rec);
-    /** execLatency on a packed arena meta byte (class in bits 0-2). */
-    Cycle execLatencyMeta(std::uint8_t mb);
+    /** Execute latency of an instruction of class @p cls (0-7). */
+    Cycle execLatency(unsigned cls);
 
     /**
      * Fixed execute latency per InstClass, filled from the config at
@@ -293,36 +284,29 @@ class Processor
     FetchEngine *engine_;
     const CodeImage *image_;
     MemoryHierarchy *mem_;
-    OracleStream oracle_;
-    DataAddressStream dstream_;
-    /** Arena replay: pre-generated data addresses (else dstream_). */
+    /** The private window, when the run has no shared arena. */
+    std::unique_ptr<OracleArena> window_;
+    /** The committed path: the shared arena or window_. */
     const OracleArena *arena_ = nullptr;
+    /** Index of the next correct-path instruction to fetch. */
+    std::uint64_t pos_ = 0;
+    /** Index of the next data address dispatch consumes. */
     std::uint64_t dataPos_ = 0;
     /** How far ahead of dataPos_ the d-cache tag prefetch runs. */
     static constexpr std::uint64_t kDataPrefetchAhead = 12;
     std::uint64_t dataPrefetched_ = 0;
 
     Cycle now_ = 0;
-    std::uint64_t nextSeq_ = 1;
     Addr expectedPc_;
-    /** Fetch buffer and ROB: capacities fixed by ProcessorConfig. */
-    FixedRing<BufEntry> buffer_;
+    /** Capacity fixed by ProcessorConfig::robSize. */
     FixedRing<RobEntry> rob_;
-    /**
-     * Out-of-line decoded records for non-arena ring entries,
-     * parallel to buffer_/rob_ (indexed by FixedRing::slotOf).
-     * Written only on the live/trace paths; the arena replay never
-     * touches them.
-     */
-    std::unique_ptr<OracleInst[]> bufRecs_;
-    std::unique_ptr<OracleInst[]> robRecs_;
     /** Reused every cycle; never reallocates. */
     FetchBundle bundle_;
 
     // Divergence / redirect state.
     bool diverged_ = false;
     ResolvedBranch faulting_;
-    std::uint64_t faultingSeq_ = 0;
+    std::uint64_t faultingIdx_ = 0;
     bool redirectPending_ = false;
     Cycle redirectAt_ = 0;
     bool redirectTimeKnown_ = false;
@@ -338,7 +322,7 @@ class Processor
     bool lastWasBranch_ = false;
     PrevBranch prev_;
 
-    std::uint64_t lastCommittedSeq_ = 0;
+    /** Committed so far: also the index of the ROB head. */
     InstCount totalCommitted_ = 0;
     Cycle silentFetchCycles_ = 0;
 
@@ -346,8 +330,6 @@ class Processor
 
     /** Batch stages enabled (ProcessorConfig::batchedReplay). */
     bool batched_ = true;
-    /** Bundle-at-once oracle verify: batched_ and arena-backed. */
-    bool batchedFetch_ = false;
     /** Commit cap for exactInstStop; no bound when disabled. */
     InstCount stopAt_ = ~InstCount(0);
 };

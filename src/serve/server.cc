@@ -443,6 +443,14 @@ Server::makeJob(const JsonValue &req)
             return dflt;
         return v->asString();
     };
+    // The shared pipe-width rule; clamping first keeps a huge value
+    // from wrapping into the range on the way to unsigned.
+    auto width = [](const JsonValue &v) {
+        const unsigned w = static_cast<unsigned>(
+            std::min<std::uint64_t>(v.asU64(), ~0u));
+        checkPipeWidth(w);
+        return w;
+    };
     auto job = std::make_shared<Job>();
 
     if (const JsonValue *pv = req.find("points")) {
@@ -467,16 +475,14 @@ Server::makeJob(const JsonValue &req)
             if (layout != "opt" && layout != "base")
                 throw std::invalid_argument(
                     "layout must be 'base' or 'opt'");
-            p.cfg.width =
-                static_cast<unsigned>(e.at("width").asU64());
+            p.cfg.width = width(e.at("width"));
             p.cfg.optimizedLayout = layout != "base";
             p.cfg.insts =
                 static_cast<InstCount>(e.at("insts").asU64());
             p.cfg.warmupInsts =
                 static_cast<InstCount>(e.at("warmup").asU64());
-            if (p.cfg.width == 0 || p.cfg.insts == 0)
-                throw std::invalid_argument(
-                    "width and insts must be positive");
+            if (p.cfg.insts == 0)
+                throw std::invalid_argument("insts must be positive");
             if (std::find(job->benches.begin(), job->benches.end(),
                           p.bench) == job->benches.end())
                 job->benches.push_back(p.bench);
@@ -498,16 +504,12 @@ Server::makeJob(const JsonValue &req)
         if (const JsonValue *v = req.find("widths")) {
             if (v->kind == JsonValue::Kind::Array)
                 for (const JsonValue &e : v->array)
-                    widths.push_back(
-                        static_cast<unsigned>(e.asU64()));
+                    widths.push_back(width(e));
             else
-                widths.push_back(static_cast<unsigned>(v->asU64()));
+                widths.push_back(width(*v));
         }
         if (widths.empty())
             widths.push_back(8);
-        for (unsigned w : widths)
-            if (w == 0)
-                throw std::invalid_argument("width must be positive");
 
         const std::string layout = text("layout", "opt");
         if (layout != "opt" && layout != "base")

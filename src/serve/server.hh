@@ -40,9 +40,10 @@
  * group); a job whose estimate cannot fit even an empty cache is
  * rejected "over_budget" when it demands arenas ("arena":"require"),
  * and otherwise the governor first evicts single-layout arenas (then
- * whole workloads) LRU-first, then falls back to live generation
- * ("arena":false in the framing) — the budget is never exceeded to
- * satisfy a decode. Rows are bit-identical either way.
+ * whole workloads) LRU-first, then falls back to per-run private
+ * windows of bounded size ("arena":false in the framing) — the
+ * budget is never exceeded to satisfy a decode. Rows are
+ * bit-identical either way.
  *
  * Fault tolerance: with a --state-dir, every submit/start/finish is
  * journalled (serve/journal.hh) and unfinished jobs are re-queued on

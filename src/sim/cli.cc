@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fetch/fetch_engine.hh"
 #include "sim/engine_registry.hh"
 #include "workload/workload_registry.hh"
 
@@ -67,6 +68,15 @@ CliParser::parseUnsignedList(const std::string &text)
     if (out.empty())
         throw std::invalid_argument("empty list '" + text + "'");
     return out;
+}
+
+std::vector<unsigned>
+CliParser::parseWidthList(const std::string &text)
+{
+    std::vector<unsigned> widths = parseUnsignedList(text);
+    for (unsigned w : widths)
+        checkPipeWidth(w);
+    return widths;
 }
 
 std::vector<std::string>
@@ -130,9 +140,10 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
                   });
     if (mask & kWidths)
         addOption("--widths", "W,W,...",
-                  "comma-separated pipe widths (2, 4, 8)",
+                  "comma-separated pipe widths (the paper's 2, 4, "
+                  "8; any of 1-16)",
                   [opts](const std::string &v) {
-                      opts->widths = parseUnsignedList(v);
+                      opts->widths = parseWidthList(v);
                   });
     if (mask & kBench) {
         addOption("--bench", "SPEC[,SPEC...]",
@@ -156,13 +167,6 @@ CliParser::addStandard(CliOptions *opts, unsigned mask)
                     std::exit(0);
                 });
     }
-    if (mask & kArena)
-        addFlag("--no-arena",
-                "disable committed-path arena sharing: every sweep "
-                "point regenerates its oracle stream live (slower; "
-                "for measurement baselines and debugging — results "
-                "are bit-identical either way)",
-                [opts] { opts->arena = false; });
     if (mask & kJobs)
         addOption("--jobs", "N",
                   "worker threads (default: all hardware threads)",

@@ -34,11 +34,6 @@ struct CliOptions
     std::vector<SimConfig> archs;
     unsigned jobs = 0;                  //!< 0 = hardware_concurrency
     OutputFormat format = OutputFormat::Table;
-    /**
-     * Committed-path arena sharing in the sweep driver (cleared by
-     * --no-arena; binaries apply it via SweepDriver::setArenaMode).
-     */
-    bool arena = true;
 
     /** Warmup to use for a measured run of @p n instructions. */
     InstCount
@@ -82,10 +77,8 @@ class CliParser
         kWarmup = 1u << 5,
         /** --arch engine-spec list + --list-archs. */
         kArch = 1u << 6,
-        /** --no-arena: force per-point live oracle generation. */
-        kArena = 1u << 7,
         /** The usual sweep-binary set. */
-        kSweep = kInsts | kBench | kJobs | kFormat | kArch | kArena,
+        kSweep = kInsts | kBench | kJobs | kFormat | kArch,
     };
 
     CliParser(std::string prog, std::string summary);
@@ -128,6 +121,12 @@ class CliParser
     static std::uint64_t parseU64(const std::string &text);
     static std::vector<unsigned>
     parseUnsignedList(const std::string &text);
+    /**
+     * A --widths list: parseUnsignedList() with every width checked
+     * against checkPipeWidth() (1..FetchBundle::kCapacity).
+     */
+    static std::vector<unsigned>
+    parseWidthList(const std::string &text);
     static std::vector<std::string>
     parseNameList(const std::string &text);
 

@@ -188,8 +188,9 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
                                              kFetchAheadMargin);
             } catch (const std::bad_alloc &) {
                 // Decode memory was not to be had: leave the slot
-                // null and this group's points run on live
-                // generation instead — slower, bit-identical rows.
+                // null and this group's points replay private
+                // windows instead — bounded memory, bit-identical
+                // rows.
                 arenas[key] = nullptr;
             }
         });

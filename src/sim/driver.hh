@@ -50,11 +50,12 @@ class SweepDriver
      * Enable/disable committed-path arena sharing (default on).
      * When enabled, run() groups its points by (workload, layout,
      * insts + warmup); every group with at least two points gets the
-     * workload's shared OracleArena — the committed path is decoded
-     * once and each point replays it from flat memory, bit-identical
-     * to live generation. Single-point groups always generate live
-     * (decoding would cost exactly one generation pass and save
-     * none). Off forces live generation everywhere.
+     * workload's shared full OracleArena — the committed path is
+     * decoded once and each point replays it from flat memory.
+     * Single-point groups, and every point when sharing is off,
+     * replay a private bounded window instead (a full decode would
+     * cost the same generation pass and hold the whole run in
+     * memory). Rows are bit-identical either way.
      */
     void setArenaMode(bool enabled) { arenaMode_ = enabled; }
     bool arenaMode() const { return arenaMode_; }

@@ -228,10 +228,6 @@ runOn(const PlacedWorkload &work, const SimConfig &cfg,
         throw std::invalid_argument(
             "trace was recorded for '" + replay->bench +
             "', not '" + work.name() + "'");
-    if (replay && arena)
-        throw std::invalid_argument(
-            "runOn: a recorded-trace replay and an arena replay "
-            "are mutually exclusive");
     if (arena && arena->seed() != kRefSeed)
         throw std::invalid_argument(
             "runOn: the arena was not decoded with the ref seed "

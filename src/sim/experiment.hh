@@ -249,12 +249,14 @@ struct RunTuning
  * to live generation on every engine.
  *
  * When @p arena is non-null the committed path *and* the data
- * address stream are replayed from the pre-decoded arena (which must
- * come from this workload's arena()/cachedArena(), i.e. be decoded
- * with the `ref` seed on the configured layout) — bit-identical to
- * live generation, pointer-bump cheap. Mutually exclusive with
- * @p replay. The sweep driver passes an arena automatically when
- * several points share one (workload, layout, run length).
+ * address stream are replayed from that shared full arena (which
+ * must come from this workload's arena()/cachedArena(), i.e. be
+ * decoded with the `ref` seed on the configured layout). Otherwise
+ * the processor decodes them, live or from @p replay, into a
+ * private bounded window. Both are bit-identical to generation.
+ * Mutually exclusive with @p replay. The sweep driver passes an
+ * arena automatically when several points share one (workload,
+ * layout, run length).
  */
 SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
                const RecordedTrace *replay = nullptr,

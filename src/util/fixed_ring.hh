@@ -158,17 +158,6 @@ class FixedRing
 
     void clear() { head_ = size_ = 0; }
 
-    /**
-     * Raw storage slot of element @p i (front-relative), for keeping
-     * a parallel side array in step with the ring — cold per-element
-     * payloads can live out-of-line so the hot slots stay dense.
-     */
-    std::size_t slotOf(std::size_t i) const { return (head_ + i) & mask_; }
-
-    /** Number of raw storage slots (capacity rounded up to a power
-     * of two) — the size a parallel side array must have. */
-    std::size_t slotCapacity() const { return slots_ ? mask_ + 1 : 0; }
-
   private:
     std::unique_ptr<T[]> slots_;
     std::size_t capacity_ = 0;

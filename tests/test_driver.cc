@@ -98,18 +98,18 @@ TEST(SweepDriver, RepeatedRunsAreDeterministic)
 /**
  * The second strong guarantee: a sweep replaying the shared
  * pre-decoded committed path (arena mode, the default) is
- * bit-identical to one regenerating every point's oracle stream
- * live. The grid spans every paper engine, two widths and two
+ * bit-identical to one where every point decodes its own private
+ * window. The grid spans every paper engine, two widths and two
  * workloads, so the arena groups cover multiple engines per decode.
  */
-TEST(SweepDriver, ArenaSweepMatchesLiveSweepExactly)
+TEST(SweepDriver, ArenaSweepMatchesWindowSweepExactly)
 {
     auto points = smallGrid();
 
-    SweepDriver live(2);
-    live.setQuiet(true);
-    live.setArenaMode(false);
-    ResultSet rl = live.run(points);
+    SweepDriver windows(2);
+    windows.setQuiet(true);
+    windows.setArenaMode(false);
+    ResultSet rl = windows.run(points);
 
     SweepDriver arena(2);
     arena.setQuiet(true);
@@ -593,6 +593,51 @@ TEST(Cli, ParsesListsAndResolvesBenches)
     EXPECT_EQ(resolveBenches({"gzip", "gcc"}),
               (std::vector<std::string>{"gzip", "gcc"}));
     EXPECT_THROW(resolveBenches({"nope"}), std::invalid_argument);
+}
+
+TEST(Cli, WidthsOutsideOneToSixteenAreRejected)
+{
+    EXPECT_EQ(CliParser::parseWidthList("1,16"),
+              (std::vector<unsigned>{1, 16}));
+    EXPECT_THROW(CliParser::parseWidthList("0"), std::invalid_argument);
+    EXPECT_THROW(CliParser::parseWidthList("8,17"),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(checkPipeWidth(FetchBundle::kCapacity));
+    EXPECT_THROW(checkPipeWidth(FetchBundle::kCapacity + 1),
+                 std::invalid_argument);
+}
+
+namespace
+{
+
+/** Parse @p args the way fig8_ipc and sfetchsim do. */
+void
+parseSweepArgs(const char *prog, std::vector<std::string> args)
+{
+    CliOptions opts;
+    CliParser cli(prog, "width check");
+    cli.addStandard(&opts, CliParser::kSweep | CliParser::kWidths);
+    args.insert(args.begin(), prog);
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    cli.parseOrExit(static_cast<int>(argv.size()), argv.data());
+}
+
+} // namespace
+
+TEST(CliDeathTest, BadWidthExitsTwoWithAMessage)
+{
+    // Out-of-range widths are usage errors, never a silent default
+    // width (0) or an uncaught exception (17).
+    EXPECT_EXIT(parseSweepArgs("fig8_ipc", {"--widths", "0"}),
+                ::testing::ExitedWithCode(2),
+                "fig8_ipc: --widths: width 0 is outside the "
+                "supported range 1..16");
+    EXPECT_EXIT(parseSweepArgs("sfetchsim", {"--widths", "4,17"}),
+                ::testing::ExitedWithCode(2),
+                "sfetchsim: --widths: width 17 is outside the "
+                "supported range 1..16");
 }
 
 TEST(Cli, WarmupDefaultsToFifthOfInsts)

@@ -324,7 +324,7 @@ TEST_F(FaultTest, InjectedArenaAllocThrowsBadAlloc)
     EXPECT_GT(arena->bytes(), 0u);
 }
 
-TEST_F(FaultTest, DriverDegradesToLiveGenerationUnderAllocFaults)
+TEST_F(FaultTest, DriverDegradesToPrivateWindowsUnderAllocFaults)
 {
     WorkloadCache::instance().clear();
     // Two points sharing one (workload, layout, length) group, so

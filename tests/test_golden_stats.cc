@@ -172,14 +172,14 @@ TEST(GoldenStats, RerunIsBitIdentical)
 }
 
 /**
- * Arena-backed replay (the committed path pre-decoded once into the
+ * Shared-arena replay (the committed path pre-decoded once into the
  * shared OracleArena, every point replaying it from flat memory)
- * must be bit-identical to live generation for every registered
- * engine. Pinned on a PR-4 family so the arena path is exercised on
- * a registry workload, not just the gzip preset; width 4 covers the
- * non-default line-size geometry too.
+ * must be bit-identical to a run on its own private window for
+ * every registered engine. Pinned on a registry family (phased), not
+ * just the gzip preset; width 4 covers the non-default line-size
+ * geometry too.
  */
-TEST(GoldenStats, ArenaReplayMatchesLiveForEveryEngine)
+TEST(GoldenStats, ArenaReplayMatchesWindowForEveryEngine)
 {
     const PlacedWorkload &work =
         WorkloadCache::instance().get("phased");
@@ -194,11 +194,11 @@ TEST(GoldenStats, ArenaReplayMatchesLiveForEveryEngine)
             auto arena = work.arena(
                 true, cfg.insts + cfg.warmupInsts +
                           kFetchAheadMargin);
-            SimStats live = runOn(work, cfg);
+            SimStats windowed = runOn(work, cfg);
             SimStats replay = runOn(work, cfg, nullptr, arena.get());
-            EXPECT_TRUE(live == replay)
+            EXPECT_TRUE(windowed == replay)
                 << token << " w" << width
-                << ": arena replay diverged from live generation";
+                << ": arena replay diverged from window replay";
         }
     }
 }

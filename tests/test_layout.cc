@@ -323,12 +323,19 @@ TEST(Oracle, ReturnUsesLayoutReturnAddress)
 
 // ---- OracleArena ----
 
+/** Every field of @p a and @p b agrees. */
+bool
+sameInst(const OracleInst &a, const OracleInst &b)
+{
+    return a.pc == b.pc && a.nextPc == b.nextPc && a.cls == b.cls &&
+        a.btype == b.btype && a.taken == b.taken && a.block == b.block;
+}
+
 /**
  * The arena is defined as "exactly what the live stream produced":
  * every field of every instruction (pc, nextPc, class, branch type,
  * taken, owning block — including kNoBlock stubs) must match the
- * live generator, and next()/nextInto()/peek() must agree in arena
- * mode just like in live mode.
+ * live generator.
  */
 TEST(OracleArena, ReplayMatchesLiveFieldForField)
 {
@@ -337,27 +344,17 @@ TEST(OracleArena, ReplayMatchesLiveFieldForField)
     const std::uint64_t n = 30'000;
     OracleArena arena(img, w.model, kRefSeed, n);
     EXPECT_EQ(arena.size(), n);
+    EXPECT_EQ(arena.begin(), 0u);
     EXPECT_EQ(arena.seed(), kRefSeed);
     EXPECT_GT(arena.bytes(), 0u);
     EXPECT_GT(arena.dataCount(), 0u);
 
     OracleStream live(img, w.model, kRefSeed);
-    OracleStream replay(img, w.model, kRefSeed, nullptr, &arena);
     for (std::uint64_t i = 0; i < n; ++i) {
-        OracleInst a = live.next();
-        // Exercise peek + nextInto on the arena side.
-        if ((i & 1) == 0)
-            ASSERT_EQ(replay.peek().pc, a.pc);
         OracleInst b;
-        replay.nextInto(b);
-        ASSERT_EQ(a.pc, b.pc) << "inst " << i;
-        ASSERT_EQ(a.nextPc, b.nextPc) << "inst " << i;
-        ASSERT_EQ(a.cls, b.cls) << "inst " << i;
-        ASSERT_EQ(a.btype, b.btype) << "inst " << i;
-        ASSERT_EQ(a.taken, b.taken) << "inst " << i;
-        ASSERT_EQ(a.block, b.block) << "inst " << i;
+        arena.read(i, b);
+        ASSERT_TRUE(sameInst(live.next(), b)) << "inst " << i;
     }
-    EXPECT_EQ(replay.instCount(), n);
 }
 
 TEST(OracleArena, DataAddressesMatchLiveStream)
@@ -381,23 +378,77 @@ TEST(OracleArena, ReadingPastTheEndThrows)
     EXPECT_THROW(arena.read(100, oi), std::runtime_error);
     EXPECT_THROW(arena.dataAddr(arena.dataCount()),
                  std::runtime_error);
-
-    // The stream wrapper surfaces the same exhaustion.
-    OracleStream replay(img, w.model, kRefSeed, nullptr, &arena);
-    for (int i = 0; i < 100; ++i)
-        replay.next();
-    EXPECT_THROW(replay.next(), std::runtime_error);
+    EXPECT_THROW(arena.refill(0, 0), std::logic_error)
+        << "a full arena never refills";
 }
 
-TEST(OracleArena, ArenaAndRecordedTraceReplayAreMutuallyExclusive)
+/**
+ * A window slides in place: each refill keeps the requested tail at
+ * its absolute indices, decodes fresh instructions behind it up to
+ * the capacity, and never reallocates; across many refills it reads
+ * exactly the live stream, data addresses included.
+ */
+TEST(OracleArena, WindowRefillsInPlaceAndMatchesLive)
 {
-    SyntheticWorkload w = hammockLoop();
+    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
     CodeImage img(w.program, baselineOrder(w.program));
-    OracleArena arena(img, w.model, kRefSeed, 100);
-    RecordedTrace trace;
-    EXPECT_THROW(OracleStream(img, w.model, kRefSeed, &trace,
-                              &arena),
-                 std::invalid_argument);
+    auto win = OracleArena::makeWindow(img, w.model, kRefSeed);
+    const std::uint64_t cap = OracleArena::kWindowInsts;
+    EXPECT_EQ(win->begin(), 0u);
+    EXPECT_EQ(win->size(), cap);
+    const std::size_t bytes = win->bytes();
+
+    OracleStream live(img, w.model, kRefSeed);
+    DataAddressStream ds(w.model.data(),
+                         kRefSeed ^ kDataStreamSeedSalt);
+    std::uint64_t i = 0, k = 0;
+    constexpr std::uint64_t kTail = 300; // a ROB's worth in flight
+    for (int r = 0; r < 25; ++r) {
+        for (; i < win->size(); ++i) {
+            OracleInst b;
+            win->read(i, b);
+            ASSERT_TRUE(sameInst(live.next(), b)) << "inst " << i;
+        }
+        // Consume the data addresses of all but the kept tail.
+        const std::uint64_t keep = i - kTail;
+        for (; k + kTail < win->dataCount(); ++k)
+            ASSERT_EQ(win->dataAddr(k), ds.next()) << "access " << k;
+        win->refill(keep, k);
+        EXPECT_EQ(win->begin(), keep);
+        EXPECT_EQ(win->size(), keep + cap);
+        EXPECT_EQ(win->bytes(), bytes) << "refill reallocated";
+        // The kept tail is still readable at its absolute indices.
+        OracleInst t;
+        win->read(keep, t);
+    }
+    EXPECT_EQ(win->refills(), 25u);
+    EXPECT_GT(i, 20 * cap);
+}
+
+/** A trace-fed window ends where the recorded trace does. */
+TEST(OracleArena, TraceWindowEndsWithTheTrace)
+{
+    SyntheticWorkload w = generateWorkload(suiteParams("gzip"));
+    CodeImage img(w.program, baselineOrder(w.program));
+    RecordedTrace trace =
+        recordTrace(w.program, w.model, kRefSeed, 3 * 4096, "gzip");
+    auto win = OracleArena::makeWindow(img, w.model, kRefSeed, &trace);
+    OracleStream live(img, w.model, kRefSeed);
+    std::uint64_t i = 0;
+    while (true) {
+        for (; i < win->size(); ++i) {
+            OracleInst b;
+            win->read(i, b);
+            ASSERT_TRUE(sameInst(live.next(), b)) << "inst " << i;
+        }
+        const std::uint64_t before = win->size();
+        win->refill(i, win->dataCount());
+        if (win->size() == before)
+            break;
+    }
+    EXPECT_GE(i, 3u * 4096) << "the trace covers its instructions";
+    OracleInst oi;
+    EXPECT_THROW(win->read(i, oi), std::runtime_error);
 }
 
 class LayoutOnSuite : public ::testing::TestWithParam<std::string>

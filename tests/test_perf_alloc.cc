@@ -59,12 +59,21 @@ expectSteadyStateAllocFree(const char *arch,
 
     // A short and a 3x longer continuation. Each includes the same
     // fixed end-of-run cost (StatSet assembly); a hot loop that
-    // allocates would scale with the extra ~45k instructions.
-    std::uint64_t a_short = allocsDuring(proc, 20000);
-    std::uint64_t a_long = allocsDuring(proc, 65000);
+    // allocates would scale with the extra instructions. Both span
+    // several window lengths, so a private window refills in each:
+    // the gate covers the refill too.
+    const InstCount win = OracleArena::kWindowInsts;
+    const std::uint64_t r0 = proc.windowRefills();
+    std::uint64_t a_short = allocsDuring(proc, 3 * win);
+    const std::uint64_t r1 = proc.windowRefills();
+    std::uint64_t a_long = allocsDuring(proc, 9 * win);
+    if (!arena) {
+        EXPECT_GE(r1 - r0, 2u) << arch;
+        EXPECT_GE(proc.windowRefills() - r1, 8u) << arch;
+    }
 
     EXPECT_LE(a_long, a_short + kSteadyStateAllocSlack)
-        << arch << (arena ? " (arena replay)" : "")
+        << arch << (arena ? " (arena replay)" : " (window replay)")
         << ": allocation count grows with instruction count "
         << "(short run " << a_short << ", long run " << a_long
         << ") - the hot loop allocates";
@@ -105,7 +114,8 @@ TEST(SteadyStateAllocations, TraceEngineHotLoopIsAllocationFree)
 TEST(SteadyStateAllocations, ArenaBackedReplayIsAllocationFree)
 {
     const PlacedWorkload &work = WorkloadCache::instance().get("gzip");
-    auto arena = work.arena(true, 200'000);
+    const InstCount run = 40'000 + 12 * OracleArena::kWindowInsts;
+    auto arena = work.arena(true, run + kFetchAheadMargin);
     expectSteadyStateAllocFree("stream", arena.get());
     expectSteadyStateAllocFree("trace", arena.get());
 }

@@ -109,6 +109,21 @@ TEST(Processor, RejectsWidthBeyondFetchBundleCapacity)
     EXPECT_GT(ok.proc->run(1'000).committedInsts, 0u);
 }
 
+TEST(Processor, RejectsInFlightTailBeyondHalfAWindow)
+{
+    // A window refill keeps every in-flight instruction; a ROB that
+    // could hold half a window would leave refills too little room.
+    SyntheticWorkload w = biasedLoop();
+    CodeImage img(w.program, baselineOrder(w.program));
+    MemoryHierarchy mem{MemoryConfig{}};
+    auto engine = makeEngine(RunConfig{}, img, &mem);
+    ProcessorConfig pc;
+    pc.robSize = OracleArena::kWindowInsts / 2;
+    EXPECT_THROW(Processor(pc, engine.get(), img, w.model, &mem,
+                           kRefSeed),
+                 std::invalid_argument);
+}
+
 TEST(Processor, CommitsExactlyRequestedInstructions)
 {
     Harness h(biasedLoop(), ArchKind::Stream);

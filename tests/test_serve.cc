@@ -286,6 +286,21 @@ TEST_P(ServeTransport, ProtocolErrorsAreStructuredAndNonFatal)
     EXPECT_FALSE(r.at("ok").asBool());
     EXPECT_EQ(r.at("reason").asString(), "bad_spec");
 
+    // Pipe widths outside 1..16, in the grid and explicit forms.
+    for (const char *bad :
+         {"{\"verb\": \"submit\", \"widths\": [8, 17]}",
+          "{\"verb\": \"submit\", \"widths\": 0}",
+          "{\"verb\": \"submit\", \"points\": [{\"bench\": "
+          "\"gzip\", \"spec\": \"stream\", \"layout\": \"opt\", "
+          "\"width\": 17, \"insts\": 1000, \"warmup\": 0}]}"}) {
+        r = client.request(bad);
+        EXPECT_FALSE(r.at("ok").asBool()) << bad;
+        EXPECT_EQ(r.at("reason").asString(), "bad_spec") << bad;
+        EXPECT_NE(r.at("error").asString().find("range 1..16"),
+                  std::string::npos)
+            << bad;
+    }
+
     // Unknown job id.
     r = client.request("{\"verb\": \"status\", \"job\": 999}");
     EXPECT_FALSE(r.at("ok").asBool());
@@ -297,7 +312,7 @@ TEST_P(ServeTransport, ProtocolErrorsAreStructuredAndNonFatal)
     EXPECT_EQ(r.at("health").asString(), "ok");
 
     ServeStats st = server.stats();
-    EXPECT_EQ(st.jobsRejected, 2u); // the two bad submits
+    EXPECT_EQ(st.jobsRejected, 5u); // the five bad submits
     server.stop(true);
 }
 
@@ -346,7 +361,7 @@ TEST(Serve, AdmissionControlRejectsWithReasons)
     }
 }
 
-TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
+TEST(Serve, OverBudgetAutoJobFallsBackToPrivateWindows)
 {
     SweepDriver offline(1);
     offline.setQuiet(true);
@@ -377,7 +392,7 @@ TEST(Serve, OverBudgetAutoJobFallsBackToLiveGeneration)
     ASSERT_EQ(frames.size(), 6u);
     std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
     for (std::size_t i = 0; i < frames.size(); ++i) {
-        // The frames say so: these rows came from live generation.
+        // The frames say so: these rows replayed private windows.
         EXPECT_FALSE(frames[i].at("arena").asBool());
         rows_doc += (i ? "," : "") + rowPayload(raw[1 + i]);
     }

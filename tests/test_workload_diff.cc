@@ -370,7 +370,7 @@ TEST(WorkloadDiff, BatchedReplayIsBitIdenticalEverywhere)
     // The batched replay core (bulk oracle verify, run-drained
     // commit/dispatch, SIMD meta scans) against the scalar reference
     // loop: every family x every engine x narrow and full pipe
-    // widths, in both live-generation and arena-replay modes. Any
+    // widths, on both private windows and a shared arena. Any
     // divergence in any SimStats field fails; this is the
     // pipeline-level guarantee on top of test_simd's primitives.
     const std::vector<std::string> engines =
@@ -397,7 +397,7 @@ TEST(WorkloadDiff, BatchedReplayIsBitIdenticalEverywhere)
                     runOn(work, cfg, nullptr, nullptr, batched_mode);
                 EXPECT_EQ(scalar, batched)
                     << bench << " x " << arch << " w" << width
-                    << ": batched replay diverged (live oracle)";
+                    << ": batched replay diverged (window)";
 
                 SimStats scalar_ar = runOn(work, cfg, nullptr,
                                            arena.get(), scalar_mode);
@@ -408,10 +408,92 @@ TEST(WorkloadDiff, BatchedReplayIsBitIdenticalEverywhere)
                     << ": batched replay diverged (arena)";
                 EXPECT_EQ(scalar, scalar_ar)
                     << bench << " x " << arch << " w" << width
-                    << ": arena replay diverged from live";
+                    << ": arena replay diverged from window";
             }
         }
     }
+}
+
+namespace
+{
+
+/**
+ * runOn()'s machine built by hand, so the private window's refills
+ * can be counted; no shared arena, so the processor decodes the
+ * committed path (live, or from @p replay) into its window.
+ */
+SimStats
+runWindowed(const PlacedWorkload &work, const SimConfig &cfg,
+            const RecordedTrace *replay, std::uint64_t *refills)
+{
+    const CodeImage &image = work.image(cfg.optimizedLayout);
+    MemoryConfig mc;
+    mc.l1i.lineBytes = cfg.lineBytes();
+    MemoryHierarchy mem(mc);
+    auto engine = cfg.makeEngine(image, &mem);
+    ProcessorConfig pc;
+    pc.width = cfg.width;
+    Processor proc(pc, engine.get(), image, work.model(), &mem,
+                   kRefSeed, replay);
+    SimStats st = proc.run(cfg.insts, cfg.warmupInsts);
+    *refills = proc.windowRefills();
+    return st;
+}
+
+} // namespace
+
+TEST(WorkloadDiff, WindowReplayAcrossRefillsIsBitIdentical)
+{
+    // Runs long enough to slide the private window 20+ times: every
+    // refill must keep each in-flight index and unconsumed data
+    // address valid, so the rows match the same point replayed from
+    // a shared full arena and from the scalar reference loop — on
+    // every engine, at narrow and full width, live and SFTR-fed.
+    RunTuning scalar_mode;
+    scalar_mode.batchedReplay = false;
+    const InstCount insts = 20 * OracleArena::kWindowInsts;
+    const InstCount warmup = 4'000;
+
+    auto check = [&](const PlacedWorkload &work, const SimConfig &cfg,
+                     const OracleArena &arena,
+                     const RecordedTrace *replay,
+                     const std::string &what) {
+        std::uint64_t refills = 0;
+        SimStats windowed = runWindowed(work, cfg, replay, &refills);
+        EXPECT_GE(refills, 20u) << what;
+        EXPECT_EQ(windowed, runOn(work, cfg, nullptr, &arena))
+            << what << ": window diverged from the shared arena";
+        EXPECT_EQ(windowed,
+                  runOn(work, cfg, replay, nullptr, scalar_mode))
+            << what << ": window diverged from the scalar reference";
+    };
+
+    for (const char *bench : {"thrash", "phased"}) {
+        const PlacedWorkload &work =
+            WorkloadCache::instance().get(bench);
+        auto arena =
+            work.arena(true, insts + warmup + kFetchAheadMargin);
+        for (const std::string &arch :
+             EngineRegistry::instance().tokens()) {
+            for (unsigned width : {2u, 8u}) {
+                SimConfig cfg(arch);
+                cfg.width = width;
+                cfg.insts = insts;
+                cfg.warmupInsts = warmup;
+                check(work, cfg, *arena, nullptr,
+                      std::string(bench) + " x " + arch + " w" +
+                          std::to_string(width));
+            }
+        }
+    }
+
+    const PlacedWorkload &work = WorkloadCache::instance().get("phased");
+    auto arena = work.arena(true, insts + warmup + kFetchAheadMargin);
+    RecordedTrace trace = recordBenchTrace(work, insts, warmup);
+    SimConfig cfg("stream");
+    cfg.insts = insts;
+    cfg.warmupInsts = warmup;
+    check(work, cfg, *arena, &trace, "phased x stream (SFTR replay)");
 }
 
 TEST(WorkloadDiff, ExactInstStopCommitsExactlyTheBudget)
