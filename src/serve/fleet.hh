@@ -23,10 +23,10 @@
  *     Dead workers are re-probed under capped exponential backoff so
  *     a large dead set costs bounded probe traffic.
  *   - *Dispatch evidence* feeds the same state machine: a shard
- *     dispatch that fails to connect or loses its stream is a health
- *     observation exactly like a failed probe, so the work-stealing
- *     dispatcher (server.cc runJobSharded) and the prober converge on
- *     one view of the fleet. Only `dead` workers are excluded from
+ *     dispatch that fails to connect, is refused, or loses its
+ *     stream is a health observation exactly like a failed probe, so
+ *     the work-stealing dispatcher (server.cc runJob) and the prober
+ *     converge on one view of the fleet. Only `dead` workers are excluded from
  *     chunk pulls; a suspect worker keeps working while the prober
  *     decides.
  *

@@ -36,28 +36,20 @@ errorReply(const std::string &reason, const std::string &what)
 }
 
 /**
- * The daemon's copy of the driver's arena-grouping rule: groups of
- * (canonical bench, layout, run length) with at least two points get
- * one decoded arena of (run length + fetch-ahead margin) entries, at
- * kArenaBytesPerInstEstimate bytes each. This is the governor's
- * admission estimate; the true cost is OracleArena::bytes() after
- * decode, which the estimate intentionally over-approximates.
+ * The governor's admission estimate: every shared arena the driver
+ * will decode for @p points (sharedArenaGroups), at (run length +
+ * fetch-ahead margin) entries of kArenaBytesPerInstEstimate bytes.
+ * The true cost is OracleArena::bytes() after decode, which the
+ * estimate intentionally over-approximates.
  */
 std::size_t
 estimateArenaBytes(const std::vector<SweepPoint> &points)
 {
-    using Key = std::tuple<std::string, bool, InstCount>;
-    std::map<Key, std::size_t> group_sizes;
-    for (const SweepPoint &p : points)
-        ++group_sizes[Key{canonicalBenchSpec(p.bench),
-                          p.cfg.optimizedLayout,
-                          p.cfg.insts + p.cfg.warmupInsts}];
     std::size_t est = 0;
-    for (const auto &[key, n] : group_sizes)
-        if (n >= 2)
-            est += static_cast<std::size_t>(std::get<2>(key) +
-                                            kFetchAheadMargin) *
-                   kArenaBytesPerInstEstimate;
+    for (const ArenaKey &key : sharedArenaGroups(points))
+        est += static_cast<std::size_t>(std::get<2>(key) +
+                                        kFetchAheadMargin) *
+               kArenaBytesPerInstEstimate;
     return est;
 }
 
@@ -123,7 +115,7 @@ struct Server::Job
     bool everAttached = true;
 
     /** Journalled shard dispatches from a front daemon's previous
-     * life, for token reuse on recovery (runJobSharded). */
+     * life, for token reuse on recovery (runJob). */
     std::vector<ShardRecord> priorShards;
 };
 
@@ -1039,77 +1031,6 @@ Server::decideArena(const std::shared_ptr<Job> &job)
     }
 }
 
-void
-Server::runJob(const std::shared_ptr<Job> &job)
-{
-    if (job->cancel.load()) {
-        finishJob(job, JobState::Cancelled, "", 0.0, false);
-        return;
-    }
-    if (fleet_ && !fleet_->empty()) {
-        // Front daemon: nothing is simulated here — the job fans
-        // out across the worker fleet instead. The decision is per
-        // job, so registering a first worker flips a local daemon
-        // into a front for subsequent jobs (and deregistering the
-        // last one flips it back).
-        runJobSharded(job);
-        std::lock_guard<std::mutex> lock(job->mu);
-        job->points.clear();
-        job->points.shrink_to_fit();
-        return;
-    }
-    // Pin every workload for the duration of the run: the driver's
-    // internal get() calls resolve to these same (now unevictable)
-    // entries, so another job's governor can never pull a workload
-    // out from under this sweep.
-    std::vector<std::shared_ptr<const PlacedWorkload>> pins;
-    bool used_arena = false;
-    try {
-        pins.reserve(job->benches.size());
-        for (const std::string &bench : job->benches)
-            pins.push_back(
-                WorkloadCache::instance().getShared(bench));
-
-        used_arena = decideArena(job);
-        SweepDriver driver(job->sweepJobs);
-        driver.setQuiet(true);
-        driver.setArenaMode(used_arena);
-        driver.setStopFlag(&job->cancel);
-        ResultSet rs = driver.run(
-            job->points,
-            [&](const ResultRow &row, std::size_t point,
-                std::size_t of) {
-                job->pointsDone.fetch_add(1);
-                job->lastProgressMs = nowMs();
-                rowsStreamed_.fetch_add(1);
-                JsonObjectWriter w;
-                w.field("job", job->id)
-                    .field("point",
-                           static_cast<std::uint64_t>(point))
-                    .field("of", static_cast<std::uint64_t>(of))
-                    .field("arena", used_arena)
-                    .raw("row", rowJson(row));
-                pushLine(job, w.str());
-            });
-        releaseReservation(job);
-        finishJob(job,
-                  job->cancel.load() ? JobState::Cancelled
-                                     : JobState::Done,
-                  "", rs.wallSeconds(), used_arena);
-    } catch (const std::exception &e) {
-        releaseReservation(job);
-        finishJob(job, JobState::Failed, e.what(), 0.0, used_arena);
-    }
-    // The sweep is over (only now is the grid certain to be idle —
-    // a watchdog finalize can land while the driver still runs, so
-    // finishJob itself must not touch `points`); drop it so finished
-    // jobs parked in jobs_ for status queries cost bytes, not
-    // megabytes.
-    std::lock_guard<std::mutex> lock(job->mu);
-    job->points.clear();
-    job->points.shrink_to_fit();
-}
-
 namespace
 {
 
@@ -1207,23 +1128,24 @@ shardSliceHash(const std::string &worker,
 } // namespace
 
 void
-Server::runJobSharded(const std::shared_ptr<Job> &job)
+Server::runJob(const std::shared_ptr<Job> &job)
 {
+    if (job->cancel.load()) {
+        finishJob(job, JobState::Cancelled, "", 0.0, false);
+        return;
+    }
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t total = job->pointCount;
 
-    // The fleet as of job start. A worker registered mid-job joins
-    // at the next job; one deregistered mid-job just stops being
-    // usable() (its pump parks until the job ends).
-    const std::vector<std::string> members = fleet_->members();
-    if (members.empty()) {
-        finishJob(job, JobState::Failed,
-                  std::to_string(total) + " of " +
-                      std::to_string(total) +
-                      " point(s) undeliverable (fleet is empty)",
-                  0.0, false);
-        return;
-    }
+    // The job's members: the fleet as of job start (a worker
+    // registered mid-job joins at the next job; one deregistered
+    // mid-job just stops being usable() and its pump parks until the
+    // job ends), or, when the fleet is empty, the in-process member
+    // alone (its address is never used).
+    std::vector<std::string> members = fleet_->members();
+    const bool inProcess = members.empty();
+    if (inProcess)
+        members.emplace_back();
 
     /** One contiguous slice of the grid, the unit of work stealing. */
     struct Chunk
@@ -1233,11 +1155,12 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
     };
 
     // One lock guards the chunk queue, the merge state and the
-    // in-flight accounting: pumps (consumers of chunks, producers of
-    // rows) and this worker thread (the emitter) all meet here. Rows
-    // land in `ready` keyed by global point index; emission advances
-    // strictly in index order, so the client-observed stream has
-    // point order no matter how chunks land on workers.
+    // in-flight accounting: the pumps (consumers of chunks, producers
+    // of rows) all meet here. Rows land in `ready` keyed by global
+    // point index and are emitted strictly in index order, so the
+    // client-observed stream has point order no matter how chunks
+    // land on members or how many threads the in-process driver
+    // runs.
     struct Dispatch
     {
         std::mutex mu;
@@ -1247,16 +1170,19 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         std::vector<char> delivered;
         std::size_t next = 0;  //!< next global index to emit
         std::size_t deliveredCount = 0;
-        unsigned inFlight = 0; //!< chunks on a wire right now
+        unsigned inFlight = 0; //!< chunks on a member right now
         unsigned chunkSeq = 0; //!< journal shard numbering
         bool failed = false;   //!< structural-failure latch
         std::string failReason;
+        std::string error; //!< in-process failure, reported verbatim
         bool allArena = true;
     } d;
     d.delivered.assign(total, 0);
 
+    // The in-process member takes the whole job as one chunk, so the
+    // driver groups arenas and spreads its threads over the full grid.
     const std::size_t chunkPts =
-        std::max<std::size_t>(cfg_.chunkPoints, 1);
+        inProcess ? total : std::max<std::size_t>(cfg_.chunkPoints, 1);
     for (std::size_t at = 0; at < total; at += chunkPts) {
         Chunk c;
         for (std::size_t i = at;
@@ -1274,9 +1200,84 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                       ? "j" + std::to_string(job->id)
                       : job->token);
 
-    // Dispatch one chunk to one worker. Returns true when every
-    // point was delivered (failures requeue their undelivered rest).
+    // Hand one row to the merge, framed under this job's id at its
+    // global point index, and emit every row that is now next in
+    // point order. A gap left by a lost chunk (or by a point still
+    // running on another driver thread) holds later rows in `ready`
+    // until it fills. A re-delivered point is dropped.
+    auto deliver = [&](std::size_t g, bool arena,
+                       const std::string &row) {
+        JsonObjectWriter w;
+        w.field("job", job->id)
+            .field("point", static_cast<std::uint64_t>(g))
+            .field("of", static_cast<std::uint64_t>(total))
+            .field("arena", arena)
+            .raw("row", row);
+        // Progress means delivery, not emission: a row parked behind
+        // an undelivered gap must still hold the watchdog off.
+        job->lastProgressMs = nowMs();
+        std::lock_guard<std::mutex> lock(d.mu);
+        if (d.delivered[g])
+            return;
+        d.delivered[g] = 1;
+        ++d.deliveredCount;
+        d.ready[g] = w.str();
+        if (!arena)
+            d.allArena = false;
+        for (auto it = d.ready.find(d.next); it != d.ready.end();
+             it = d.ready.find(d.next)) {
+            job->pointsDone.fetch_add(1);
+            rowsStreamed_.fetch_add(1);
+            pushLine(job, std::move(it->second));
+            d.ready.erase(it);
+            ++d.next;
+        }
+        d.cv.notify_all();
+    };
+
+    // The in-process member's chunk is the whole job: the driver runs
+    // it here, under the memory governor, on job->sweepJobs threads.
+    // An exception fails the job with its message.
+    auto runInProcess = [&] {
+        // Pin every workload for the duration of the run: the
+        // driver's internal get() calls resolve to these same (now
+        // unevictable) entries, so another job's governor can never
+        // pull a workload out from under this sweep.
+        std::vector<std::shared_ptr<const PlacedWorkload>> pins;
+        try {
+            pins.reserve(job->benches.size());
+            for (const std::string &bench : job->benches)
+                pins.push_back(
+                    WorkloadCache::instance().getShared(bench));
+            const bool arena = decideArena(job);
+            SweepDriver driver(job->sweepJobs);
+            driver.setQuiet(true);
+            driver.setArenaMode(arena);
+            driver.setStopFlag(&job->cancel);
+            driver.run(job->points,
+                       [&](const ResultRow &row, std::size_t point,
+                           std::size_t) {
+                           deliver(point, arena, rowJson(row));
+                       });
+        } catch (const std::exception &e) {
+            std::lock_guard<std::mutex> lock(d.mu);
+            d.failed = true;
+            d.error = e.what();
+        }
+        releaseReservation(job);
+    };
+
+    // Run one chunk on one member. Returns true when the chunk needs
+    // no more work (every point delivered, the job cancelled, or the
+    // job failed outright); a remote dispatch that fell short
+    // requeues its undelivered rest and returns false.
     auto runChunk = [&](const std::string &addr, Chunk chunk) {
+        if (inProcess) {
+            // Nothing crosses a wire: no shard record, no shard
+            // counters, no fleet health evidence.
+            runInProcess();
+            return true;
+        }
         unsigned seq;
         {
             std::lock_guard<std::mutex> lock(d.mu);
@@ -1314,7 +1315,9 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                 " point(s) to " + addr + " (attempt " +
                 std::to_string(chunk.attempts + 1) + ")");
         }
-        bool connected = false;
+        // The worker acknowledged the submit: from here on the chunk
+        // has a stream, and losing rows spends an attempt.
+        bool accepted = false;
         try {
             ServeClient::ConnectRetry retry;
             retry.retries = cfg_.workerRetries;
@@ -1325,7 +1328,6 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
             ServeClient wc(addr, retry);
             if (cfg_.pointTimeoutMs > 0)
                 wc.setReadTimeout(cfg_.pointTimeoutMs);
-            connected = true;
             wc.submitStream(
                 shardSubmitJson(
                     job->points, chunk.indices, token,
@@ -1335,13 +1337,18 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                     if (job->cancel.load())
                         return false;
                     const JsonValue *pt = parsed.find("point");
-                    if (!pt || !parsed.find("row"))
-                        return true; // summary/terminator frame
+                    if (!pt || !parsed.find("row")) {
+                        // Ack, rejection or summary frame.
+                        if (const JsonValue *ok = parsed.find("ok"))
+                            accepted = ok->kind ==
+                                           JsonValue::Kind::Bool &&
+                                       ok->boolean;
+                        return true;
+                    }
                     const std::size_t local =
                         static_cast<std::size_t>(pt->asU64());
                     if (local >= chunk.indices.size())
                         return false; // not our framing: bail
-                    const std::size_t g = chunk.indices[local];
                     bool arena = false;
                     if (const JsonValue *a = parsed.find("arena"))
                         arena = a->kind == JsonValue::Kind::Bool &&
@@ -1349,27 +1356,7 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                     std::string payload = rowPayloadOf(raw);
                     if (payload.empty())
                         return false;
-                    JsonObjectWriter w;
-                    w.field("job", job->id)
-                        .field("point",
-                               static_cast<std::uint64_t>(g))
-                        .field("of",
-                               static_cast<std::uint64_t>(total))
-                        .field("arena", arena)
-                        .raw("row", payload);
-                    // Progress means delivery, not emission: a row
-                    // parked behind an undelivered gap must still
-                    // hold the watchdog off.
-                    job->lastProgressMs = nowMs();
-                    std::lock_guard<std::mutex> lock(d.mu);
-                    if (!d.delivered[g]) {
-                        d.delivered[g] = 1;
-                        ++d.deliveredCount;
-                        d.ready[g] = w.str();
-                        if (!arena)
-                            d.allArena = false;
-                        d.cv.notify_all();
-                    }
+                    deliver(chunk.indices[local], arena, payload);
                     return true;
                 });
         } catch (const std::exception &e) {
@@ -1393,16 +1380,17 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         // like a failed probe, so a dying worker stops pulling work
         // (usable() goes false at dead) without any job-level state.
         fleet_->reportDispatchFailure(addr);
-        // A connect-level failure never reached the worker: requeue
-        // at no cost to the chunk's attempt budget — the worker's
-        // own march to `dead` is what bounds futile re-dispatch. A
-        // stream-level failure (connected, then lost rows) spends an
-        // attempt; a chunk that exhausts cfg_.shardRetries stream
-        // losses fails the job structurally.
-        rest.attempts = chunk.attempts + (connected ? 1 : 0);
+        // A dispatch the worker never accepted — no connect, or a
+        // refusal (draining, queue_full, busy, over_quota) before any
+        // ack — requeues at no cost to the chunk's attempt budget:
+        // the worker's own march to `dead` is what bounds futile
+        // re-dispatch. A stream-level failure (accepted, then lost
+        // rows) spends an attempt; a chunk that exhausts
+        // cfg_.shardRetries stream losses fails the job structurally.
+        rest.attempts = chunk.attempts + (accepted ? 1 : 0);
         {
             std::lock_guard<std::mutex> lock(d.mu);
-            if (connected && rest.attempts > cfg_.shardRetries) {
+            if (accepted && rest.attempts > cfg_.shardRetries) {
                 d.failed = true;
                 d.failReason =
                     "chunk lost its stream " +
@@ -1422,9 +1410,9 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         return false;
     };
 
-    // One pump per fleet member: pull a chunk when the worker is
-    // usable and the queue is non-empty, park otherwise. An idle
-    // healthy pump steals naturally — the queue is shared.
+    // One pump per member: pull a chunk when the member is usable and
+    // the queue is non-empty, park otherwise. An idle healthy pump
+    // steals naturally — the queue is shared.
     auto pump = [&](const std::string &addr) {
         bool backoff = false;
         while (true) {
@@ -1444,7 +1432,8 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                         d.deliveredCount == total)
                         return;
                     if (!d.queue.empty()) {
-                        if (fleet_->usable(addr)) {
+                        // The in-process member is always usable.
+                        if (inProcess || fleet_->usable(addr)) {
                             c = std::move(d.queue.front());
                             d.queue.pop_front();
                             ++d.inFlight;
@@ -1479,42 +1468,13 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
         }
     };
 
+    // Every member but the first pumps on a thread of its own; the
+    // first pumps on this one, so a lone daemon's in-process member
+    // runs its driver on the job's worker thread.
     std::vector<std::thread> pumps;
-    pumps.reserve(members.size());
-    for (const std::string &addr : members)
-        pumps.emplace_back(pump, addr);
-
-    // Emit merged rows in global point order while the pumps stream.
-    // A gap left by a lost chunk blocks emission past it; later rows
-    // wait in `ready` until the re-dispatched chunk fills the gap.
-    while (true) {
-        std::vector<std::string> lines;
-        bool finished = false;
-        {
-            std::unique_lock<std::mutex> lock(d.mu);
-            d.cv.wait_for(lock, std::chrono::milliseconds(50), [&] {
-                return job->cancel.load() || d.failed ||
-                       d.ready.count(d.next) != 0 ||
-                       d.deliveredCount == total;
-            });
-            for (auto it = d.ready.find(d.next); it != d.ready.end();
-                 it = d.ready.find(d.next)) {
-                lines.push_back(std::move(it->second));
-                d.ready.erase(it);
-                ++d.next;
-            }
-            finished = d.next == total || d.failed ||
-                       job->cancel.load();
-        }
-        for (std::string &l : lines) {
-            job->pointsDone.fetch_add(1);
-            job->lastProgressMs = nowMs();
-            rowsStreamed_.fetch_add(1);
-            pushLine(job, std::move(l));
-        }
-        if (finished)
-            break;
-    }
+    for (std::size_t m = 1; m < members.size(); ++m)
+        pumps.emplace_back(pump, members[m]);
+    pump(members.front());
     d.cv.notify_all();
     for (std::thread &t : pumps)
         t.join();
@@ -1525,16 +1485,19 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
             .count();
     bool allArena, failed;
     std::size_t undelivered;
-    std::string reason;
+    std::string reason, error;
     {
         std::lock_guard<std::mutex> lock(d.mu);
         allArena = d.allArena && d.next == total;
         failed = d.failed;
         undelivered = total - d.next;
         reason = d.failReason;
+        error = d.error;
     }
     if (job->cancel.load())
         finishJob(job, JobState::Cancelled, "", wall, false);
+    else if (!error.empty())
+        finishJob(job, JobState::Failed, error, wall, false);
     else if (!failed && undelivered == 0)
         finishJob(job, JobState::Done, "", wall, allArena);
     else
@@ -1544,6 +1507,15 @@ Server::runJobSharded(const std::shared_ptr<Job> &job)
                       " point(s) undeliverable" +
                       (reason.empty() ? "" : " (" + reason + ")"),
                   wall, false);
+
+    // Every member is done with the grid (only now is it certain to
+    // be idle — a watchdog finalize can land while a point still
+    // runs, so finishJob itself must not touch `points`); drop it so
+    // finished jobs parked in jobs_ for status queries cost bytes,
+    // not megabytes.
+    std::lock_guard<std::mutex> lock(job->mu);
+    job->points.clear();
+    job->points.shrink_to_fit();
 }
 
 void

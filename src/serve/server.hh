@@ -13,7 +13,7 @@
  *    "insts":50000,"warmup":10000,"widths":[4,8],"layout":"opt",
  *    "jobs":1,"arena":"auto","token":"nightly-42"}
  *     -> {"ok":true,"job":1,"points":8,"arena":true}
- *     -> one framed row per finished sweep point, as it finishes:
+ *     -> one framed row per sweep point, in point order:
  *        {"job":1,"point":0,"of":8,"arena":true,"row":{...}}
  *        where "row" is exactly ResultSet's per-row JSON (rowJson)
  *     -> a summary terminator:
@@ -55,40 +55,46 @@
  * ("timeout"), and a watchdog retires jobs whose current point
  * exceeds --point-timeout as "stuck", freeing their admission slot.
  *
- * Ordering: rows stream in completion order, which equals point
- * order when the job's sweep runs single-threaded ("jobs":1, the
- * default); the framing always carries the point index.
+ * One job runner: every job is cut into chunks that the job's
+ * *members* pull from one work-stealing queue, and one merge streams
+ * the delivered rows back in global point order (the framing always
+ * carries the point index too). Rows are raw JSON passed through
+ * verbatim, so the stream is bit-identical to the offline driver
+ * whatever the members and however many threads ran the points.
+ *
+ * The in-process member: a daemon whose worker fleet is empty has
+ * exactly one member, itself. Its single chunk is the whole job,
+ * which it runs through SweepDriver on the job's worker thread (with
+ * the submit's "jobs" sweep threads) under the memory governor — so the driver's arena groups and
+ * thread count are those of the full grid. It writes no `shard`
+ * record, counts in no shard statistic and sends no fleet health
+ * evidence; an exception it throws fails the job with its message.
  *
  * Multi-node fan-out: a daemon whose worker *fleet* is non-empty —
  * seeded from ServeConfig::workerAddrs / `sfetchd --worker`, grown
  * and shrunk at runtime by the `register`/`deregister` verbs
  * (journalled as `worker` records, so a restarted front recovers
- * its fleet) — is a *front*: it accepts the same protocol, but
- * instead of simulating, it fans each job's points out across the
- * workers using the submit protocol's explicit `"points"` form —
+ * its fleet) — is a *front*: the fleet's members are the job's
+ * members (the front does not simulate itself). Each chunk of
+ * ServeConfig::chunkPoints contiguous points travels to a worker in
+ * the submit protocol's explicit `"points"` form —
  *
  *   {"verb":"submit","points":[{"bench":"gzip","spec":"stream",
  *    "width":8,"layout":"opt","insts":50000,"warmup":10000},...]}
  *
- * — then merges the workers' row streams back into one stream in
- * global point order, re-framed under the front's job id. Because a
- * worker runs its shard single-threaded in shard order and rows are
- * raw JSON passed through verbatim, the merged stream is
- * bit-identical to a single-daemon run of the same submit.
- *
- * Dispatch is *work-stealing*: the job's points are cut into
- * contiguous chunks of ServeConfig::chunkPoints, and one persistent
- * pump thread per fleet member pulls the next chunk whenever its
- * worker is idle — fast workers naturally steal load from slow
- * ones, and there is no generation barrier to stall behind. A chunk
- * whose worker dies or stalls mid-stream returns its undelivered
- * points to the front of the queue immediately (attempt count + 1,
- * structural failure once a chunk's stream breaks more than
- * shardRetries times); a dispatch that never connects re-queues
- * without burning an attempt and instead feeds the fleet health
- * state machine (serve/fleet.hh) — only `dead` workers are excluded
- * from pulls, and the job fails structurally when every member is
- * dead with points still undelivered. Chunk dispatches are
+ * — and its rows are re-framed under the front's job id. One pump
+ * per member pulls the next chunk whenever its worker is idle, so
+ * fast workers steal load from slow ones with no generation barrier
+ * to stall behind. A chunk whose worker dies or stalls mid-stream
+ * returns its undelivered points to the front of the queue
+ * immediately (attempt count + 1, structural failure once a chunk's
+ * stream breaks more than shardRetries times). A
+ * dispatch the worker never accepted — no connect, or a refusal
+ * (`draining`, `queue_full`, `busy`, `over_quota`) before any ack —
+ * re-queues without burning an attempt and instead feeds the fleet
+ * health state machine (serve/fleet.hh): only `dead` workers are
+ * excluded from pulls, and the job fails structurally when every
+ * member is dead with points still undelivered. Chunk dispatches are
  * journalled (`shard` records) under slice-hashed idempotency
  * tokens so a restarted front re-attaches to still-running worker
  * jobs instead of re-simulating.
@@ -139,7 +145,7 @@ struct ServeConfig
      * and/or runtime `register` verbs) this daemon is a multi-node
      * *front*: every submitted sweep is split across the workers and
      * the row streams merged back in point order, bit-identical to a
-     * local run.
+     * local run. Bare HOST:PORT means tcp:HOST:PORT.
      */
     std::vector<std::string> workerAddrs;
     /** Extra stream-loss re-dispatches per chunk: a chunk whose
@@ -328,12 +334,12 @@ class Server
      * the consumer vanished or timed out mid-stream. */
     bool streamJob(const std::shared_ptr<Job> &job, LineChannel &ch);
 
+    /** The one job runner: the job's members (the fleet, or the
+     * in-process member alone) pull its chunks from a work-stealing
+     * queue, the first member on the calling thread; delivered rows
+     * are emitted in global point order, and a lost chunk's
+     * undelivered points re-queue immediately. */
     void runJob(const std::shared_ptr<Job> &job);
-    /** Multi-node front: fan the job's points out across the fleet
-     * via a work-stealing chunk queue, merging the row streams in
-     * global point order; a lost chunk's undelivered points re-queue
-     * immediately. */
-    void runJobSharded(const std::shared_ptr<Job> &job);
     /** Governor: evict/reserve/fallback; true = replay from arenas. */
     bool decideArena(const std::shared_ptr<Job> &job);
     /** Return a decideArena() reservation to the budget pool. */

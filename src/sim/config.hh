@@ -1,8 +1,8 @@
 /**
  * @file
  * SimConfig: one fully-specified experiment as (engine token, engine
- * ParamSet, engine-agnostic knobs). The engine-specific surface that
- * used to be one-off RunConfig booleans lives in the owning engine's
+ * ParamSet, engine-agnostic knobs). The engine-specific surface
+ * (ablation switches and the like) lives in the owning engine's
  * ParamSpec; the knobs every run has — pipe width, code layout,
  * instruction counts — stay typed fields.
  *

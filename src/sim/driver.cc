@@ -46,6 +46,26 @@ stderrIsTty()
 
 } // namespace
 
+ArenaKey
+arenaKey(const SweepPoint &point)
+{
+    return {canonicalBenchSpec(point.bench), point.cfg.optimizedLayout,
+            point.cfg.insts + point.cfg.warmupInsts};
+}
+
+std::vector<ArenaKey>
+sharedArenaGroups(const std::vector<SweepPoint> &points)
+{
+    std::map<ArenaKey, std::size_t> sizes;
+    for (const SweepPoint &p : points)
+        ++sizes[arenaKey(p)];
+    std::vector<ArenaKey> groups;
+    for (const auto &[key, n] : sizes)
+        if (n >= 2)
+            groups.push_back(key);
+    return groups;
+}
+
 SweepDriver::SweepDriver(unsigned jobs) : jobs_(jobs)
 {
     if (jobs_ == 0) {
@@ -65,17 +85,6 @@ SweepDriver::grid(const std::vector<std::string> &benches,
         for (const SimConfig &cfg : cfgs)
             points.push_back({bench, cfg});
     return points;
-}
-
-std::vector<SweepPoint>
-SweepDriver::grid(const std::vector<std::string> &benches,
-                  const std::vector<RunConfig> &cfgs)
-{
-    std::vector<SimConfig> converted;
-    converted.reserve(cfgs.size());
-    for (const RunConfig &cfg : cfgs)
-        converted.push_back(toSimConfig(cfg));
-    return grid(benches, converted);
 }
 
 void
@@ -150,36 +159,21 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
     double prep = secondsSince(t0);
 
     // Phase 1.5: decode each shared committed path exactly once.
-    // Points are grouped by (canonical workload, layout, run
-    // length); a group with two or more points amortizes one decode
-    // pass across all of them, so every such group gets the
-    // workload's shared read-only arena and its points replay from
-    // flat memory instead of re-walking the CFG per point.
-    using ArenaKey = std::tuple<std::string, bool, InstCount>;
-    std::map<ArenaKey, std::size_t> group_sizes;
-    std::vector<ArenaKey> point_keys;
-    point_keys.reserve(points.size());
-    for (const SweepPoint &p : points) {
-        ArenaKey key{canonicalBenchSpec(p.bench),
-                     p.cfg.optimizedLayout,
-                     p.cfg.insts + p.cfg.warmupInsts};
-        ++group_sizes[key];
-        point_keys.push_back(std::move(key));
-    }
+    // Every group of two or more points with one (canonical
+    // workload, layout, run length) amortizes one decode pass across
+    // its points: they replay the workload's shared read-only arena
+    // from flat memory instead of re-walking the CFG per point.
     std::map<ArenaKey, std::shared_ptr<const OracleArena>> arenas;
     if (arenaMode_) {
-        std::vector<const ArenaKey *> to_build;
-        for (const auto &[key, n] : group_sizes)
-            if (n >= 2)
-                to_build.push_back(&key);
+        const std::vector<ArenaKey> groups = sharedArenaGroups(points);
         // Materialize the map entries before the parallel build so
         // workers only ever write pre-existing slots.
-        for (const ArenaKey *key : to_build)
-            arenas[*key] = nullptr;
-        parallelFor(to_build.size(), [&](std::size_t i) {
+        for (const ArenaKey &key : groups)
+            arenas[key] = nullptr;
+        parallelFor(groups.size(), [&](std::size_t i) {
             if (stopped())
                 return;
-            const ArenaKey &key = *to_build[i];
+            const ArenaKey &key = groups[i];
             try {
                 arenas[key] = WorkloadCache::instance()
                                   .get(std::get<0>(key))
@@ -211,7 +205,7 @@ SweepDriver::run(const std::vector<SweepPoint> &points,
         const PlacedWorkload &work =
             WorkloadCache::instance().get(p.bench);
         const OracleArena *arena = nullptr;
-        if (auto it = arenas.find(point_keys[i]); it != arenas.end())
+        if (auto it = arenas.find(arenaKey(p)); it != arenas.end())
             arena = it->second.get();
         auto rt0 = std::chrono::steady_clock::now();
         SimStats st = runOn(work, p.cfg, nullptr, arena);

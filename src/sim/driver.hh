@@ -16,6 +16,7 @@
 #include <atomic>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/results.hh"
@@ -31,6 +32,22 @@ struct SweepPoint
     std::string bench;
     SimConfig cfg;
 };
+
+/** A point's arena-sharing group: (canonical workload, layout,
+ * insts + warmup). */
+using ArenaKey = std::tuple<std::string, bool, InstCount>;
+
+ArenaKey arenaKey(const SweepPoint &point);
+
+/**
+ * The sweep's one arena-grouping rule: the groups of @p points with
+ * at least two members, each of which amortizes one decoded shared
+ * arena across its points. SweepDriver::run() decodes exactly these
+ * in arena mode, and sfetchd's memory governor budgets for them.
+ * Sorted, without duplicates.
+ */
+std::vector<ArenaKey>
+sharedArenaGroups(const std::vector<SweepPoint> &points);
 
 class SweepDriver
 {
@@ -48,8 +65,7 @@ class SweepDriver
 
     /**
      * Enable/disable committed-path arena sharing (default on).
-     * When enabled, run() groups its points by (workload, layout,
-     * insts + warmup); every group with at least two points gets the
+     * When enabled, every group of sharedArenaGroups() gets the
      * workload's shared full OracleArena — the committed path is
      * decoded once and each point replays it from flat memory.
      * Single-point groups, and every point when sharing is off,
@@ -64,11 +80,6 @@ class SweepDriver
     static std::vector<SweepPoint>
     grid(const std::vector<std::string> &benches,
          const std::vector<SimConfig> &cfgs);
-
-    /** Legacy-config overload (converted via toSimConfig()). */
-    static std::vector<SweepPoint>
-    grid(const std::vector<std::string> &benches,
-         const std::vector<RunConfig> &cfgs);
 
     /**
      * Per-row completion callback for the streaming run() overload:

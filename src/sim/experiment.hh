@@ -7,10 +7,7 @@
  * and examples go through this API.
  *
  * The engine surface lives in sim/config.hh (SimConfig over the
- * EngineRegistry). The ArchKind enum and RunConfig struct below are
- * the legacy closed API, kept as a thin conversion shim: they cover
- * exactly the paper's four architectures and the historical ablation
- * flags, and translate 1:1 into SimConfig parameter sets.
+ * EngineRegistry).
  */
 
 #ifndef SFETCH_SIM_EXPERIMENT_HH
@@ -42,73 +39,6 @@ namespace sfetch
  * magnitude to spare.
  */
 constexpr InstCount kFetchAheadMargin = 4096;
-
-/**
- * The four fetch architectures of the paper's evaluation (legacy
- * shim; registry tokens are the open-ended replacement).
- */
-enum class ArchKind
-{
-    Ev8,     //!< EV8 + 2bcgskew
-    Ftb,     //!< FTB + perceptron
-    Stream,  //!< the paper's stream fetch architecture
-    Trace,   //!< trace cache + next trace predictor
-};
-
-/** Display name matching the paper's figures (from the registry). */
-std::string archName(ArchKind kind);
-
-/** Stable machine-readable token: "ev8", "ftb", "stream", "trace". */
-std::string archToken(ArchKind kind);
-
-/** Inverse of archToken(); accepts the registry aliases. Only the
- * four paper architectures have an ArchKind; use the registry for
- * anything else. */
-ArchKind parseArch(const std::string &token);
-
-/** All four paper architectures in plotting order. */
-const std::vector<ArchKind> &allArchs();
-
-/**
- * One fully-specified experiment, legacy form. The engine-specific
- * fields correspond to engine parameters: lineBytesOverride ->
- * `line`, ftqEntriesOverride -> `ftq`, streamSingleTable ->
- * `stream:single_table`, streamNoHysteresis ->
- * `stream:no_hysteresis`, tracePartialMatching ->
- * `trace:partial_match`.
- */
-struct RunConfig
-{
-    ArchKind arch = ArchKind::Stream;
-    unsigned width = 8;          //!< pipe width: 2, 4, or 8
-    bool optimizedLayout = true; //!< spike-style layout vs baseline
-    InstCount insts = 2'000'000; //!< measured instructions
-    InstCount warmupInsts = 300'000;
-    /** Overridable i-cache line size; 0 = 4x width (Table 2). */
-    unsigned lineBytesOverride = 0;
-    /** Overridable FTQ depth; 0 = default (4). */
-    std::size_t ftqEntriesOverride = 0;
-    /** Stream-predictor ablation: disable the path-indexed table. */
-    bool streamSingleTable = false;
-    /** Stream-predictor ablation: 1-bit hysteresis-free counters. */
-    bool streamNoHysteresis = false;
-    /** Trace-cache ablation: enable partial matching (footnote 3). */
-    bool tracePartialMatching = false;
-};
-
-bool operator==(const RunConfig &a, const RunConfig &b);
-inline bool
-operator!=(const RunConfig &a, const RunConfig &b)
-{
-    return !(a == b);
-}
-
-/**
- * Translate a legacy RunConfig into the equivalent SimConfig.
- * Guaranteed to produce bit-identical SimStats (asserted by
- * tests/test_config.cc).
- */
-SimConfig toSimConfig(const RunConfig &cfg);
 
 /**
  * A reusable placed workload: program + behaviour + both layouts.
@@ -210,11 +140,6 @@ class PlacedWorkload
     mutable std::uint64_t arenaUse_[2] = {0, 0}; //!< LRU stamps
 };
 
-/** Build the fetch engine for a legacy run (registry-backed). */
-std::unique_ptr<FetchEngine> makeEngine(const RunConfig &cfg,
-                                        const CodeImage &image,
-                                        MemoryHierarchy *mem);
-
 /**
  * Execution knobs for runOn() that are not part of the modelled
  * machine configuration.
@@ -262,7 +187,6 @@ SimStats runOn(const PlacedWorkload &work, const SimConfig &cfg,
                const RecordedTrace *replay = nullptr,
                const OracleArena *arena = nullptr,
                const RunTuning &tuning = RunTuning{});
-SimStats runOn(const PlacedWorkload &work, const RunConfig &cfg);
 
 /**
  * Capture the committed control path of @p work for a run of
@@ -277,8 +201,6 @@ RecordedTrace recordBenchTrace(const PlacedWorkload &work,
 /** Convenience: prepare the workload and run. */
 SimStats runBenchmark(const std::string &bench_name,
                       const SimConfig &cfg);
-SimStats runBenchmark(const std::string &bench_name,
-                      const RunConfig &cfg);
 
 } // namespace sfetch
 

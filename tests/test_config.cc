@@ -2,9 +2,8 @@
  * @file
  * Tests for the configuration subsystem: ParamSpec/ParamSet typing
  * and diagnostics, spec-string and JSON round-trips, the engine
- * registry (tokens, aliases, --list-archs content), and the factory
- * equivalence guarantee: every legacy RunConfig ablation flag maps
- * to a parameter spec that produces bit-identical SimStats.
+ * registry (tokens, aliases, --list-archs content), and the seq
+ * engine through the standard harness.
  */
 
 #include <gtest/gtest.h>
@@ -216,94 +215,18 @@ TEST(SimConfig, ArchSpecListSplitsOnEngineBoundaries)
     EXPECT_THROW(parseArchSpecList(""), std::invalid_argument);
 }
 
-TEST(SimConfig, PaperConfigsMatchLegacyAllArchs)
+TEST(SimConfig, PaperConfigsAreTheFourPaperEnginesInPlottingOrder)
 {
     std::vector<SimConfig> paper = paperArchConfigs();
-    ASSERT_EQ(paper.size(), allArchs().size());
+    const std::vector<std::string> tokens = {"ev8", "ftb", "stream",
+                                             "trace"};
+    const std::vector<std::string> labels = {
+        "EV8+2bcgskew", "FTB+perceptron", "Streams", "Tcache+Tpred"};
+    ASSERT_EQ(paper.size(), tokens.size());
     for (std::size_t i = 0; i < paper.size(); ++i) {
-        EXPECT_EQ(paper[i].arch(), archToken(allArchs()[i]));
-        EXPECT_EQ(paper[i].label(), archName(allArchs()[i]));
+        EXPECT_EQ(paper[i].arch(), tokens[i]);
+        EXPECT_EQ(paper[i].label(), labels[i]);
     }
-}
-
-// ---- factory equivalence: legacy RunConfig == param spec ----
-
-namespace
-{
-
-/** Both paths on a small run must agree counter-for-counter. */
-void
-expectEquivalent(const RunConfig &legacy, const std::string &spec)
-{
-    const PlacedWorkload &work =
-        WorkloadCache::instance().get("gzip");
-
-    SimConfig cfg = SimConfig::fromSpec(spec);
-    cfg.width = legacy.width;
-    cfg.optimizedLayout = legacy.optimizedLayout;
-    cfg.insts = legacy.insts;
-    cfg.warmupInsts = legacy.warmupInsts;
-
-    EXPECT_EQ(toSimConfig(legacy), cfg) << spec;
-
-    SimStats a = runOn(work, legacy);
-    SimStats b = runOn(work, cfg);
-    EXPECT_EQ(a, b) << "RunConfig vs '" << spec
-                    << "' diverged";
-}
-
-RunConfig
-smallRun(ArchKind arch)
-{
-    RunConfig rc;
-    rc.arch = arch;
-    rc.width = 8;
-    rc.insts = 25'000;
-    rc.warmupInsts = 5'000;
-    return rc;
-}
-
-} // namespace
-
-TEST(FactoryEquivalence, StreamSingleTable)
-{
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.streamSingleTable = true;
-    expectEquivalent(rc, "stream:single_table=1");
-}
-
-TEST(FactoryEquivalence, StreamNoHysteresis)
-{
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.streamNoHysteresis = true;
-    expectEquivalent(rc, "stream:no_hysteresis=1");
-}
-
-TEST(FactoryEquivalence, StreamFtqAndLineOverrides)
-{
-    RunConfig rc = smallRun(ArchKind::Stream);
-    rc.ftqEntriesOverride = 8;
-    rc.lineBytesOverride = 64;
-    expectEquivalent(rc, "stream:line=64,ftq=8");
-}
-
-TEST(FactoryEquivalence, FtbFtqOverride)
-{
-    RunConfig rc = smallRun(ArchKind::Ftb);
-    rc.ftqEntriesOverride = 2;
-    expectEquivalent(rc, "ftb:ftq=2");
-}
-
-TEST(FactoryEquivalence, TracePartialMatching)
-{
-    RunConfig rc = smallRun(ArchKind::Trace);
-    rc.tracePartialMatching = true;
-    expectEquivalent(rc, "trace:partial_match=1");
-}
-
-TEST(FactoryEquivalence, Ev8Plain)
-{
-    expectEquivalent(smallRun(ArchKind::Ev8), "ev8");
 }
 
 // ---- the seq engine: registered and runnable like any other ----

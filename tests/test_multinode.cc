@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include "serve/client.hh"
+#include "serve/fleet.hh"
 #include "serve/server.hh"
 #include "serve/socket_io.hh"
 #include "sim/driver.hh"
@@ -113,11 +114,24 @@ maskWallClock(const std::string &payload)
     return payload.substr(0, at) + "}";
 }
 
+/** The summary's state and error, for failure messages. */
+std::string
+summaryNote(const Stream &s)
+{
+    std::string note = "summary:";
+    for (const char *key : {"state", "error"})
+        if (const JsonValue *v = s.summary.find(key);
+            v && v->kind == JsonValue::Kind::String)
+            note += std::string(" ") + key + "=" + v->string;
+    return note;
+}
+
 /** Assert @p s carries all 12 rows, point-ordered and bit-identical
  * to @p expect. */
 void
 expectMergedStreamMatches(const Stream &s, const ResultSet &expect)
 {
+    SCOPED_TRACE(summaryNote(s));
     ASSERT_TRUE(s.done);
     ASSERT_EQ(s.frames.size(), 12u);
     std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
@@ -299,6 +313,61 @@ TEST(MultiNode, SlowWorkerLosesChunksToHealthyPeer)
     // A alone delivered the whole grid (B's rowsStreamed is not
     // asserted: it counts the captive job's own rows).
     EXPECT_EQ(workerA.stats().rowsStreamed, 12u);
+
+    front.stop(true);
+    workerA.stop(true);
+    workerB.stop(false); // cancel the captive job
+}
+
+TEST(MultiNode, RejectedSubmitIsARefusalNotAStreamLoss)
+{
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    ResultSet expect = offline.run(grid12());
+
+    Server workerA(tcpConfig());
+    ServeConfig b_cfg = tcpConfig();
+    b_cfg.maxJobs = 1; // a captive job fills B's admission cap
+    Server workerB(b_cfg);
+    workerA.start();
+    workerB.start();
+
+    // Hold B's only admission slot with a multi-second job (read just
+    // the ack): every chunk B pulls is refused "queue_full" before
+    // any ack. A refusal never reached a stream, so it must not spend
+    // the chunk's stream-loss budget — with shardRetries = 0 a single
+    // miscounted refusal would fail the job while A sits idle.
+    LineChannel slow(
+        connectSocket(parseSocketAddr(workerB.listenAddress())));
+    ASSERT_TRUE(slow.writeLine(
+        "{\"verb\": \"submit\", \"bench\": \"gzip\", "
+        "\"arch\": \"stream,ev8\", \"widths\": [4, 8], "
+        "\"insts\": 8000000, \"warmup\": 1000}"));
+    std::string ack;
+    ASSERT_TRUE(slow.readLine(ack));
+    ASSERT_TRUE(JsonReader(ack).parse().at("ok").asBool());
+
+    ServeConfig front_cfg = tcpConfig();
+    front_cfg.workerAddrs = {workerA.listenAddress(),
+                             workerB.listenAddress()};
+    front_cfg.shardRetries = 0;
+    Server front(front_cfg);
+    front.start();
+
+    Stream merged = collect(front.listenAddress(), kSubmit12);
+    expectMergedStreamMatches(merged, expect);
+
+    ServeStats st = front.stats();
+    EXPECT_EQ(st.shardRetries, 0u)
+        << "a refused submit must not count as a stream loss";
+    EXPECT_EQ(st.pointsRedispatched, 0u);
+    EXPECT_EQ(st.jobsServed, 1u);
+    // The refusal is still health evidence against B.
+    std::uint64_t b_failures = 0;
+    for (const WorkerSnapshot &w : front.fleet().snapshot())
+        if (w.addr == workerB.listenAddress())
+            b_failures = w.dispatchFailures;
+    EXPECT_GE(b_failures, 1u);
 
     front.stop(true);
     workerA.stop(true);

@@ -206,8 +206,8 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
         ASSERT_EQ(raw_lines[c].size(), 8u) << "client " << c;
         ASSERT_EQ(streams[c].frames.size(), 6u) << "client " << c;
 
-        // Row-complete and point-ordered (the daemon's default sweep
-        // is single-threaded, so completion order == point order).
+        // Row-complete and point-ordered (rows always stream in
+        // point order).
         std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
         for (std::size_t i = 0; i < streams[c].frames.size(); ++i) {
             const JsonValue &f = streams[c].frames[i];
@@ -408,6 +408,55 @@ TEST(Serve, OverBudgetAutoJobFallsBackToPrivateWindows)
     ServeStats st = server.stats();
     EXPECT_EQ(st.arenaFallbacks, 1u);
     EXPECT_EQ(st.residentArenaBytes, 0u); // budget 0 stayed honest
+    server.stop(true);
+}
+
+TEST(Serve, MultiThreadedSweepStreamsRowsInPointOrder)
+{
+    SweepDriver offline(1);
+    offline.setQuiet(true);
+    ResultSet expect = offline.run(grid6());
+
+    Server server(testConfig("order"));
+    server.start();
+
+    // Four sweep threads finish points out of order; the stream must
+    // still carry them in point order.
+    std::string submit = kSubmit6;
+    submit.insert(submit.size() - 1, ", \"jobs\": 4");
+    std::vector<std::string> raw;
+    std::vector<JsonValue> frames;
+    JsonValue summary;
+    {
+        ServeClient client(server.config().socketPath);
+        ASSERT_TRUE(client.submitStream(
+            submit,
+            [&](const JsonValue &parsed, const std::string &line) {
+                raw.push_back(line);
+                if (parsed.find("point"))
+                    frames.push_back(parsed);
+                else if (parsed.find("done"))
+                    summary = parsed;
+                return true;
+            }));
+    }
+    ASSERT_EQ(frames.size(), 6u);
+    std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        EXPECT_EQ(frames[i].at("point").asU64(), i);
+        EXPECT_EQ(frames[i].at("of").asU64(), 6u);
+        rows_doc += (i ? "," : "") + rowPayload(raw[1 + i]);
+    }
+    rows_doc += "]}";
+    ResultSet streamed = ResultSet::fromJson(rows_doc);
+    ASSERT_EQ(streamed.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(streamed.at(i).cfg, expect.at(i).cfg) << "row " << i;
+        EXPECT_EQ(streamed.at(i).stats, expect.at(i).stats)
+            << "row " << i << " diverged from the offline driver";
+    }
+    EXPECT_EQ(summary.at("state").asString(), "done");
+    EXPECT_EQ(summary.at("points_done").asU64(), 6u);
     server.stop(true);
 }
 

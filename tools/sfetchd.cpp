@@ -68,14 +68,9 @@ main(int argc, char **argv)
                   "across the workers (repeatable; bare HOST:PORT "
                   "means tcp:HOST:PORT)",
                   [&](const std::string &v) {
-                      for (std::string addr :
-                           CliParser::parseNameList(v)) {
-                          if (addr.rfind("unix:", 0) != 0 &&
-                              addr.rfind("tcp:", 0) != 0 &&
-                              addr.find(':') != std::string::npos)
-                              addr = "tcp:" + addr;
+                      for (std::string &addr :
+                           CliParser::parseNameList(v))
                           cfg.workerAddrs.push_back(std::move(addr));
-                      }
                   });
     cli.addOption("--shard-retries", "N",
                   "front mode: stream losses one chunk may survive "
