@@ -104,6 +104,12 @@ struct Server::Job
     std::atomic<JobState> state{JobState::Queued};
     std::atomic<std::uint64_t> pointsDone{0};
     std::atomic<std::int64_t> lastProgressMs{0}; //!< watchdog clock
+    /** When the daemon took the request (makeJob), and the seconds
+     * from then to the first row frame queued for the client (< 0
+     * until one is); the summary reports the latter. */
+    const std::chrono::steady_clock::time_point acceptedAt =
+        std::chrono::steady_clock::now();
+    std::atomic<double> firstRowSeconds{-1.0};
 
     std::mutex mu; //!< out, closed, everAttached
     std::condition_variable cv;
@@ -297,7 +303,7 @@ void
 Server::acceptLoop()
 {
     while (true) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
+        int fd = acceptConnection(listenFd_);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
@@ -1226,6 +1232,12 @@ Server::runJob(const std::shared_ptr<Job> &job)
             d.allArena = false;
         for (auto it = d.ready.find(d.next); it != d.ready.end();
              it = d.ready.find(d.next)) {
+            if (d.next == 0)
+                job->firstRowSeconds =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() -
+                        job->acceptedAt)
+                        .count();
             job->pointsDone.fetch_add(1);
             rowsStreamed_.fetch_add(1);
             pushLine(job, std::move(it->second));
@@ -1583,6 +1595,9 @@ Server::finishJob(const std::shared_ptr<Job> &job, JobState state,
         .field("of", static_cast<std::uint64_t>(job->pointCount))
         .field("arena", used_arena)
         .field("wall_seconds", wall_seconds);
+    const double firstRow = job->firstRowSeconds.load();
+    if (firstRow >= 0)
+        w.field("first_row_seconds", firstRow);
     if (!error.empty())
         w.field("error", error);
     pushLine(job, w.str());

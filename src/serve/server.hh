@@ -18,7 +18,10 @@
  *        where "row" is exactly ResultSet's per-row JSON (rowJson)
  *     -> a summary terminator:
  *        {"job":1,"done":true,"state":"done","points_done":8,
- *         "of":8,"arena":true,"wall_seconds":...}
+ *         "of":8,"arena":true,"wall_seconds":...,
+ *         "first_row_seconds":...}
+ *        (first_row_seconds: submit acceptance to the first row
+ *        frame queued for the client; absent when no row was)
  *   {"verb":"status","job":1}   -> state + points_done/of
  *   {"verb":"cancel","job":1}   -> cancels a queued or running job
  *   {"verb":"stats"}            -> cumulative counters (see below)

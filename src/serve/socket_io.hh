@@ -23,6 +23,11 @@
  * between client requests) and --write-timeout (time to accept one
  * streamed line). Both transports ride the same deadline layer and
  * the same fault-injection sites.
+ *
+ * Every TCP connection these helpers make or accept is Nagle-free
+ * (connectTcp and acceptConnection set TCP_NODELAY), so both
+ * directions of a daemon connection are: a row frame written right
+ * after an ack never waits out the peer's delayed ACK.
  */
 
 #ifndef SFETCH_SERVE_SOCKET_IO_HH
@@ -97,6 +102,14 @@ int listenTcp(const std::string &host, std::uint16_t port,
  */
 int connectTcp(const std::string &host, std::uint16_t port,
                int timeout_ms = 0);
+
+/**
+ * Accept one connection on @p listen_fd (from listenUnix/listenTcp).
+ * A TCP peer's socket gets TCP_NODELAY; a Unix one is returned as
+ * accepted. Returns the connected fd (caller closes), or -1 with
+ * accept(2)'s errno.
+ */
+int acceptConnection(int listen_fd);
 
 /** Listen on @p addr via the matching transport. */
 int listenSocket(const SocketAddr &addr, int backlog = 16);

@@ -191,6 +191,10 @@ TEST(MultiNode, TwoWorkerFanOutIsBitIdenticalToOfflineAndSingleNode)
                   maskWallClock(rowPayload(ref.raw[1 + i])))
             << "row " << i << " bytes differ from a single-node run";
 
+    // Front and lone daemon alike report their own time to first row.
+    EXPECT_GT(ref.summary.at("first_row_seconds").asNumber(), 0.0);
+    EXPECT_GT(merged.summary.at("first_row_seconds").asNumber(), 0.0);
+
     // 12 points at the default 4-point chunk = 3 clean dispatches,
     // every row streamed by some worker (which pump won which chunk
     // is the work-stealing scheduler's business, not the test's).

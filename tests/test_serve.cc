@@ -8,13 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -249,6 +255,60 @@ TEST_P(ServeTransport, ConcurrentSubmitsStreamBitIdenticalToOffline)
     EXPECT_EQ(st.arenaFallbacks, 0u);
     EXPECT_LE(st.residentArenaBytes, st.memBudgetBytes);
 
+    server.stop(true);
+}
+
+TEST_P(ServeTransport, RowsFollowTheAckWithoutADelayedAckStall)
+{
+    // A row frame written right after the ack must not wait for the
+    // client to acknowledge the ack: with Nagle on the daemon's
+    // socket it waits out the client's delayed-ACK timer (~40 ms on
+    // Linux) on every submit of a kept-open connection, far above
+    // what simulating a 1k-instruction point costs, even in a
+    // sanitizer build.
+    Server server(config("nagle"));
+    server.start();
+    ServeClient client(server.listenAddress());
+    const std::string submit =
+        "{\"verb\": \"submit\", \"bench\": \"gzip\", "
+        "\"arch\": \"stream,ev8\", \"widths\": [4, 8], "
+        "\"insts\": 1000, \"warmup\": 200}";
+    using Clock = std::chrono::steady_clock;
+    std::vector<double> afterAck;
+    for (int i = 0; i < 5; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        Clock::time_point tAck, tFirst;
+        bool haveAck = false, haveFirst = false;
+        JsonValue summary;
+        ASSERT_TRUE(client.submitStream(
+            submit, [&](const JsonValue &parsed, const std::string &) {
+                if (!haveAck) {
+                    tAck = Clock::now();
+                    haveAck = true;
+                } else if (parsed.find("row") && !haveFirst) {
+                    tFirst = Clock::now();
+                    haveFirst = true;
+                } else if (parsed.find("done")) {
+                    summary = parsed;
+                }
+                return true;
+            }));
+        const double total =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        ASSERT_TRUE(haveFirst);
+        afterAck.push_back(
+            std::chrono::duration<double>(tFirst - tAck).count());
+        // The daemon's own time to first row is in the summary and
+        // inside what the client saw.
+        EXPECT_EQ(summary.at("state").asString(), "done");
+        const double firstRow =
+            summary.at("first_row_seconds").asNumber();
+        EXPECT_GT(firstRow, 0.0);
+        EXPECT_LE(firstRow, total);
+    }
+    std::sort(afterAck.begin(), afterAck.end());
+    EXPECT_LT(afterAck[2], 0.020)
+        << "median ack-to-first-row " << afterAck[2] * 1e3 << " ms";
     server.stop(true);
 }
 
@@ -738,6 +798,8 @@ TEST(Serve, WatchdogRetiresStuckJobAndFreesItsSlot)
     ASSERT_TRUE(s.done);
     EXPECT_EQ(s.summary.at("state").asString(), "stuck");
     EXPECT_EQ(server.stats().jobsStuck, 1u);
+    // No row was emitted, so there is no time to first row.
+    EXPECT_EQ(s.summary.find("first_row_seconds"), nullptr);
 
     // The stuck job's admission slot is free even though its worker
     // is still grinding the captive point: with maxJobs = 1, a new
@@ -855,4 +917,39 @@ TEST(Serve, DeeplyNestedRequestIsBadJsonNotACrash)
     r = client.request("{\"verb\": \"health\"}");
     EXPECT_TRUE(r.at("ok").asBool());
     server.stop(true);
+}
+
+TEST(Serve, AcceptedTcpConnectionsAreNagleFree)
+{
+    const int lfd = listenTcp("127.0.0.1", 0);
+    const SocketAddr bound =
+        boundAddr(lfd, parseSocketAddr("tcp:127.0.0.1:0"));
+    const int cfd = connectTcp("127.0.0.1", bound.port);
+    const int afd = acceptConnection(lfd);
+    ASSERT_GE(afd, 0) << std::strerror(errno);
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_EQ(nodelay, 1);
+    ::close(afd);
+    ::close(cfd);
+    ::close(lfd);
+}
+
+TEST(Serve, AcceptedUnixConnectionsCarryLines)
+{
+    const std::string path = testSocket("accept");
+    const int lfd = listenUnix(path);
+    LineChannel client(connectUnix(path));
+    const int afd = acceptConnection(lfd);
+    ASSERT_GE(afd, 0) << std::strerror(errno);
+    LineChannel server(afd);
+    ASSERT_TRUE(client.writeLine("{\"verb\": \"health\"}"));
+    std::string line;
+    ASSERT_TRUE(server.readLine(line));
+    EXPECT_EQ(line, "{\"verb\": \"health\"}");
+    ::close(lfd);
+    ::unlink(path.c_str());
 }
