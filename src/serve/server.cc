@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <tuple>
@@ -94,8 +96,6 @@ struct Server::Job
     std::string specJson; //!< raw submit request, for the journal
     std::string clientId; //!< submitter identity (peer credentials)
 
-    enum class Arena { Auto, Off, Require };
-    Arena arenaWanted = Arena::Auto;
     std::size_t estArenaBytes = 0;
     std::size_t reservedBytes = 0; //!< governor grant, while running
 
@@ -214,7 +214,6 @@ Server::stop(bool drain)
     // cancelled) before they see stopping_ with an empty queue.
     stopping_ = true;
     queueCv_.notify_all();
-    govCv_.notify_all();
     for (std::thread &t : workers_)
         t.join();
     workers_.clear();
@@ -302,13 +301,27 @@ Server::reapConnThreads()
 void
 Server::acceptLoop()
 {
+    bool failing = false; //!< inside a run of accept errors
     while (true) {
         int fd = acceptConnection(listenFd_);
         if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listen fd shut down: server stopping
+            // Only stop() shuts the listen fd down, and it sets
+            // stopping_ first. Anything else (EMFILE, ENOBUFS, ...)
+            // is transient: the pending connection stays queued, so
+            // back off and try again.
+            if (stopping_)
+                return;
+            if (errno != EINTR) {
+                if (!failing)
+                    log(std::string("accept: ") + std::strerror(errno) +
+                        "; retrying");
+                failing = true;
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            }
+            continue;
         }
+        failing = false;
         // Finished connections retire themselves from conns_ but
         // cannot join their own thread; collect the handles here so
         // a long-lived daemon holds resources only for connections
@@ -532,16 +545,13 @@ Server::makeJob(const JsonValue &req)
     if (const JsonValue *v = req.find("jobs"))
         job->sweepJobs = static_cast<unsigned>(v->asU64());
 
-    const std::string arena = text("arena", "auto");
-    if (arena == "auto")
-        job->arenaWanted = Job::Arena::Auto;
-    else if (arena == "off")
-        job->arenaWanted = Job::Arena::Off;
-    else if (arena == "require")
-        job->arenaWanted = Job::Arena::Require;
-    else
-        throw std::invalid_argument(
-            "arena must be 'auto', 'off' or 'require'");
+    // The memory governor alone chooses arena use (decideArena);
+    // "auto" stays valid because existing clients send it.
+    if (const JsonValue *a = req.find("arena"))
+        if (a->kind != JsonValue::Kind::String || a->string != "auto")
+            throw std::invalid_argument(
+                "arena may only be 'auto': the daemon's memory "
+                "governor chooses arena use");
     job->estArenaBytes = estimateArenaBytes(job->points);
     return job;
 }
@@ -703,17 +713,6 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
                     std::to_string(cfg_.maxJobsPerClient)));
             return;
         }
-        if (job->arenaWanted == Job::Arena::Require &&
-            job->estArenaBytes > cfg_.memBudgetBytes) {
-            jobsRejected_.fetch_add(1);
-            ch.writeLine(errorReply(
-                "over_budget",
-                "arena estimate " +
-                    std::to_string(job->estArenaBytes) +
-                    " B exceeds budget " +
-                    std::to_string(cfg_.memBudgetBytes) + " B"));
-            return;
-        }
         job->id = nextJobId_++;
         jobs_[job->id] = job;
         if (!job->token.empty())
@@ -728,19 +727,14 @@ Server::handleSubmit(const JsonValue &req, const std::string &line,
         std::to_string(job->pointCount) + " points, arena est " +
         std::to_string(job->estArenaBytes >> 20) + " MiB");
 
-    // Acknowledge, then stream until the job closes. `arena` here is
-    // the plan (mode and budget permitting); the per-row framing
-    // carries the governor's actual decision.
+    // Acknowledge, then stream until the job closes. The row frames
+    // carry the governor's arena decision.
     {
         JsonObjectWriter w;
         w.field("ok", true)
             .field("job", job->id)
             .field("points",
-                   static_cast<std::uint64_t>(job->pointCount))
-            .field("arena",
-                   job->arenaWanted != Job::Arena::Off &&
-                       job->estArenaBytes > 0 &&
-                       job->estArenaBytes <= cfg_.memBudgetBytes);
+                   static_cast<std::uint64_t>(job->pointCount));
         if (!ch.writeLine(w.str())) {
             job->cancel = true;
             return;
@@ -997,7 +991,7 @@ Server::watchdogLoop()
                       "point exceeded --point-timeout (" +
                           std::to_string(cfg_.pointTimeoutMs) +
                           " ms)",
-                      0.0, false);
+                      0.0);
         }
     }
 }
@@ -1005,36 +999,26 @@ Server::watchdogLoop()
 bool
 Server::decideArena(const std::shared_ptr<Job> &job)
 {
-    if (job->arenaWanted == Job::Arena::Off ||
-        job->estArenaBytes == 0)
+    if (job->estArenaBytes == 0)
         return false; // no >=2-point group: nothing to decode anyway
     const std::size_t budget = cfg_.memBudgetBytes;
     const std::size_t est = job->estArenaBytes;
     WorkloadCache &cache = WorkloadCache::instance();
-    std::unique_lock<std::mutex> lock(govMu_);
-    while (true) {
-        // Make room: shrink the cache until (cache-resident) +
-        // (reserved by running jobs) + (this job) fits the budget.
-        const std::size_t reserved = reservedArenaBytes_;
-        cache.evictToBudget(
-            budget > reserved + est ? budget - reserved - est : 0);
-        if (cache.bytesResident() + reserved + est <= budget) {
-            reservedArenaBytes_ += est;
-            job->reservedBytes = est;
-            return true;
-        }
-        if (job->arenaWanted != Job::Arena::Require ||
-            job->cancel.load() || stopping_.load()) {
-            arenaFallbacks_.fetch_add(1);
-            log("job " + std::to_string(job->id) +
-                ": arena fallback (est " + std::to_string(est >> 20) +
-                " MiB would exceed budget)");
-            return false;
-        }
-        // Require within total budget: concurrent reservations are
-        // the only obstruction, so wait for one to release.
-        govCv_.wait_for(lock, std::chrono::milliseconds(100));
+    std::lock_guard<std::mutex> lock(govMu_);
+    // Make room: shrink the cache until (cache-resident) + (reserved
+    // by running jobs) + (this job) fits the budget.
+    const std::size_t reserved = reservedArenaBytes_;
+    cache.evictToBudget(budget > reserved + est ? budget - reserved - est
+                                                : 0);
+    if (cache.bytesResident() + reserved + est <= budget) {
+        reservedArenaBytes_ += est;
+        job->reservedBytes = est;
+        return true;
     }
+    arenaFallbacks_.fetch_add(1);
+    log("job " + std::to_string(job->id) + ": arena fallback (est " +
+        std::to_string(est >> 20) + " MiB would exceed budget)");
+    return false;
 }
 
 namespace
@@ -1062,23 +1046,13 @@ rowPayloadOf(const std::string &frame)
     return payload;
 }
 
-const char *
-arenaModeName(int arena_wanted_ord)
-{
-    switch (arena_wanted_ord) {
-    case 1: return "off";
-    case 2: return "require";
-    }
-    return "auto";
-}
-
 /** The shard's submit request: the explicit `"points"` form over the
  * chosen subset, run single-threaded so the worker streams rows in
- * shard order. */
+ * shard order. The worker's own governor decides its arena use. */
 std::string
 shardSubmitJson(const std::vector<SweepPoint> &points,
                 const std::vector<std::size_t> &indices,
-                const std::string &token, const char *arena_mode)
+                const std::string &token)
 {
     std::string pts = "[";
     for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -1100,7 +1074,6 @@ shardSubmitJson(const std::vector<SweepPoint> &points,
     w.field("verb", "submit");
     w.raw("points", pts);
     w.field("jobs", static_cast<std::uint64_t>(1));
-    w.field("arena", arena_mode);
     if (!token.empty())
         w.field("token", token);
     return w.str();
@@ -1137,7 +1110,7 @@ void
 Server::runJob(const std::shared_ptr<Job> &job)
 {
     if (job->cancel.load()) {
-        finishJob(job, JobState::Cancelled, "", 0.0, false);
+        finishJob(job, JobState::Cancelled, "", 0.0);
         return;
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -1181,7 +1154,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
         bool failed = false;   //!< structural-failure latch
         std::string failReason;
         std::string error; //!< in-process failure, reported verbatim
-        bool allArena = true;
     } d;
     d.delivered.assign(total, 0);
 
@@ -1228,8 +1200,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
         d.delivered[g] = 1;
         ++d.deliveredCount;
         d.ready[g] = w.str();
-        if (!arena)
-            d.allArena = false;
         for (auto it = d.ready.find(d.next); it != d.ready.end();
              it = d.ready.find(d.next)) {
             if (d.next == 0)
@@ -1341,10 +1311,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
             if (cfg_.pointTimeoutMs > 0)
                 wc.setReadTimeout(cfg_.pointTimeoutMs);
             wc.submitStream(
-                shardSubmitJson(
-                    job->points, chunk.indices, token,
-                    arenaModeName(
-                        static_cast<int>(job->arenaWanted))),
+                shardSubmitJson(job->points, chunk.indices, token),
                 [&](const JsonValue &parsed, const std::string &raw) {
                     if (job->cancel.load())
                         return false;
@@ -1495,30 +1462,29 @@ Server::runJob(const std::shared_ptr<Job> &job)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    bool allArena, failed;
+    bool failed;
     std::size_t undelivered;
     std::string reason, error;
     {
         std::lock_guard<std::mutex> lock(d.mu);
-        allArena = d.allArena && d.next == total;
         failed = d.failed;
         undelivered = total - d.next;
         reason = d.failReason;
         error = d.error;
     }
     if (job->cancel.load())
-        finishJob(job, JobState::Cancelled, "", wall, false);
+        finishJob(job, JobState::Cancelled, "", wall);
     else if (!error.empty())
-        finishJob(job, JobState::Failed, error, wall, false);
+        finishJob(job, JobState::Failed, error, wall);
     else if (!failed && undelivered == 0)
-        finishJob(job, JobState::Done, "", wall, allArena);
+        finishJob(job, JobState::Done, "", wall);
     else
         finishJob(job, JobState::Failed,
                   std::to_string(undelivered) + " of " +
                       std::to_string(total) +
                       " point(s) undeliverable" +
                       (reason.empty() ? "" : " (" + reason + ")"),
-                  wall, false);
+                  wall);
 
     // Every member is done with the grid (only now is it certain to
     // be idle — a watchdog finalize can land while a point still
@@ -1535,12 +1501,9 @@ Server::releaseReservation(const std::shared_ptr<Job> &job)
 {
     if (job->reservedBytes == 0)
         return;
-    {
-        std::lock_guard<std::mutex> lock(govMu_);
-        reservedArenaBytes_ -= job->reservedBytes;
-        job->reservedBytes = 0;
-    }
-    govCv_.notify_all();
+    std::lock_guard<std::mutex> lock(govMu_);
+    reservedArenaBytes_ -= job->reservedBytes;
+    job->reservedBytes = 0;
 }
 
 void
@@ -1555,8 +1518,7 @@ Server::pushLine(const std::shared_ptr<Job> &job, std::string line)
 
 void
 Server::finishJob(const std::shared_ptr<Job> &job, JobState state,
-                  const std::string &error, double wall_seconds,
-                  bool used_arena)
+                  const std::string &error, double wall_seconds)
 {
     // First finalizer wins: normally the worker, but the watchdog
     // retires a stuck job while its worker is still captive in the
@@ -1593,7 +1555,6 @@ Server::finishJob(const std::shared_ptr<Job> &job, JobState state,
         .field("state", name)
         .field("points_done", job->pointsDone.load())
         .field("of", static_cast<std::uint64_t>(job->pointCount))
-        .field("arena", used_arena)
         .field("wall_seconds", wall_seconds);
     const double firstRow = job->firstRowSeconds.load();
     if (firstRow >= 0)

@@ -11,15 +11,15 @@
  *
  *   {"verb":"submit","bench":"gzip,loops","arch":"stream,ev8",
  *    "insts":50000,"warmup":10000,"widths":[4,8],"layout":"opt",
- *    "jobs":1,"arena":"auto","token":"nightly-42"}
- *     -> {"ok":true,"job":1,"points":8,"arena":true}
+ *    "jobs":1,"token":"nightly-42"}
+ *     -> {"ok":true,"job":1,"points":8}
  *     -> one framed row per sweep point, in point order:
  *        {"job":1,"point":0,"of":8,"arena":true,"row":{...}}
  *        where "row" is exactly ResultSet's per-row JSON (rowJson)
+ *        and "arena" is the governor's choice for that row
  *     -> a summary terminator:
  *        {"job":1,"done":true,"state":"done","points_done":8,
- *         "of":8,"arena":true,"wall_seconds":...,
- *         "first_row_seconds":...}
+ *         "of":8,"wall_seconds":...,"first_row_seconds":...}
  *        (first_row_seconds: submit acceptance to the first row
  *        frame queued for the client; absent when no row was)
  *   {"verb":"status","job":1}   -> state + points_done/of
@@ -30,23 +30,23 @@
  *
  * Errors are structured and non-fatal to the connection:
  *   {"ok":false,"reason":"bad_json|unknown_verb|bad_spec|queue_full|
- *    max_points_per_job|over_budget|over_quota|busy|timeout|
- *    unknown_job|draining", "error":"<human readable>"}
+ *    max_points_per_job|over_quota|busy|timeout|unknown_job|
+ *    draining", "error":"<human readable>"}
  *
  * Admission control: at most maxJobs jobs queued+running (reject
  * "queue_full"), at most maxPointsPerJob points per submit (reject
  * "max_points_per_job"), at most maxJobsPerClient active jobs per
  * client identity (SO_PEERCRED; reject "over_quota"), at most
  * maxConns concurrent connections (reject "busy"). Memory governor:
- * each submit's arena cost is pre-estimated from the arena formula
+ * the daemon alone chooses arena use — a submit may carry
+ * "arena":"auto" (what older clients send) and no other value. Each
+ * job's arena cost is pre-estimated from the arena formula
  * (kArenaBytesPerInstEstimate per instruction, per >=2-point decode
- * group); a job whose estimate cannot fit even an empty cache is
- * rejected "over_budget" when it demands arenas ("arena":"require"),
- * and otherwise the governor first evicts single-layout arenas (then
- * whole workloads) LRU-first, then falls back to per-run private
- * windows of bounded size ("arena":false in the framing) — the
- * budget is never exceeded to satisfy a decode. Rows are
- * bit-identical either way.
+ * group); the governor first evicts single-layout arenas (then
+ * whole workloads) LRU-first to fit it, and otherwise falls back to
+ * per-run private windows of bounded size ("arena":false in the row
+ * frames) — the budget is never exceeded to satisfy a decode. Rows
+ * are bit-identical either way.
  *
  * Fault tolerance: with a --state-dir, every submit/start/finish is
  * journalled (serve/journal.hh) and unfinished jobs are re-queued on
@@ -351,8 +351,7 @@ class Server
     /** Finalize once (first caller wins — worker vs watchdog): set
      * the terminal state, counters, journal record, summary line. */
     void finishJob(const std::shared_ptr<Job> &job, JobState state,
-                   const std::string &error, double wall_seconds,
-                   bool used_arena);
+                   const std::string &error, double wall_seconds);
 
     std::shared_ptr<Job> findJob(std::uint64_t id) const;
     void log(const std::string &msg) const;
@@ -387,7 +386,6 @@ class Server
     std::uint64_t nextConnId_ = 1;
 
     std::mutex govMu_; //!< reservedArenaBytes_
-    std::condition_variable govCv_; //!< reservation released
     std::size_t reservedArenaBytes_ = 0;
 
     std::mutex shutdownMu_;

@@ -350,6 +350,10 @@ connectTcp(const std::string &host, std::uint16_t port,
 int
 acceptConnection(int listen_fd)
 {
+    if (SFETCH_FAULT("socket.accept")) {
+        errno = EMFILE; // the pending connection stays queued
+        return -1;
+    }
     sockaddr_storage ss{};
     socklen_t len = sizeof(ss);
     const int fd =

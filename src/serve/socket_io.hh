@@ -107,7 +107,8 @@ int connectTcp(const std::string &host, std::uint16_t port,
  * Accept one connection on @p listen_fd (from listenUnix/listenTcp).
  * A TCP peer's socket gets TCP_NODELAY; a Unix one is returned as
  * accepted. Returns the connected fd (caller closes), or -1 with
- * accept(2)'s errno.
+ * accept(2)'s errno (the socket.accept fault site returns -1 with
+ * EMFILE before accept(2) runs, leaving the peer queued).
  */
 int acceptConnection(int listen_fd);
 

@@ -48,6 +48,7 @@ namespace fault
 
 /** Every injection point compiled into libsfetch, for test sweeps. */
 constexpr const char *kKnownSites[] = {
+    "socket.accept",  //!< acceptConnection(): accept() hits EMFILE
     "socket.connect", //!< connectUnix(): connect() fails
     "socket.recv",    //!< LineChannel::readLine(): peer vanished
     "socket.send",    //!< LineChannel::writeLine(): peer vanished

@@ -28,6 +28,7 @@
 #include "serve/client.hh"
 #include "serve/journal.hh"
 #include "serve/jsonio.hh"
+#include "serve/server.hh"
 #include "serve/socket_io.hh"
 #include "sim/cli.hh"
 #include "sim/driver.hh"
@@ -159,6 +160,33 @@ TEST_F(FaultTest, InjectedConnectFailsAndRetrySurvivesIt)
 
     ::close(lfd);
     ::unlink(sock.c_str());
+}
+
+TEST_F(FaultTest, InjectedAcceptEmfileDoesNotStopTheDaemon)
+{
+    if (!fault::compiledIn())
+        GTEST_SKIP() << "fault injection not compiled in";
+
+    // The daemon's first three accept() calls fail with EMFILE, as
+    // when the process runs out of file descriptors. The accept loop
+    // must back off and retry: a loop that gave up would leave the
+    // request below queued, unanswered, until its read deadline.
+    const std::uint64_t f0 = fault::fired("socket.accept");
+    fault::arm("socket.accept", 0, 3);
+    ServeConfig cfg;
+    cfg.socketPath = "unix:" + tmpPath("accept.sock");
+    cfg.quiet = true;
+    cfg.probeIntervalMs = 0;
+    Server server(cfg);
+    server.start();
+
+    ServeClient client(server.listenAddress());
+    client.setReadTimeout(5000);
+    const JsonValue r = client.request("{\"verb\": \"health\"}");
+    EXPECT_TRUE(r.at("ok").asBool());
+    EXPECT_EQ(r.at("health").asString(), "ok");
+    EXPECT_EQ(fault::fired("socket.accept"), f0 + 3);
+    server.stop(false);
 }
 
 TEST_F(FaultTest, InjectedRecvAndSendFailTheChannelNotTheProcess)

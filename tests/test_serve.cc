@@ -361,6 +361,20 @@ TEST_P(ServeTransport, ProtocolErrorsAreStructuredAndNonFatal)
             << bad;
     }
 
+    // The daemon's memory governor alone chooses arena use: a submit
+    // may say "auto" (what existing clients send) and nothing else.
+    for (const char *bad :
+         {"{\"verb\": \"submit\", \"arena\": \"off\"}",
+          "{\"verb\": \"submit\", \"arena\": \"require\"}",
+          "{\"verb\": \"submit\", \"arena\": 1}"}) {
+        r = client.request(bad);
+        EXPECT_FALSE(r.at("ok").asBool()) << bad;
+        EXPECT_EQ(r.at("reason").asString(), "bad_spec") << bad;
+        EXPECT_NE(r.at("error").asString().find("governor"),
+                  std::string::npos)
+            << bad;
+    }
+
     // Unknown job id.
     r = client.request("{\"verb\": \"status\", \"job\": 999}");
     EXPECT_FALSE(r.at("ok").asBool());
@@ -372,7 +386,7 @@ TEST_P(ServeTransport, ProtocolErrorsAreStructuredAndNonFatal)
     EXPECT_EQ(r.at("health").asString(), "ok");
 
     ServeStats st = server.stats();
-    EXPECT_EQ(st.jobsRejected, 5u); // the five bad submits
+    EXPECT_EQ(st.jobsRejected, 8u); // the eight bad submits
     server.stop(true);
 }
 
@@ -402,23 +416,6 @@ TEST(Serve, AdmissionControlRejectsWithReasons)
         EXPECT_EQ(r.at("reason").asString(), "queue_full");
         server.stop(true);
     }
-    // Budget: a job that *requires* arenas it can never fit is
-    // rejected at submit, before any simulation runs.
-    {
-        ServeConfig cfg = testConfig("admit3");
-        cfg.memBudgetBytes = std::size_t(1) << 20;
-        Server server(cfg);
-        server.start();
-        ServeClient client(cfg.socketPath);
-        JsonValue r = client.request(
-            "{\"verb\": \"submit\", \"bench\": \"gzip\", "
-            "\"arch\": \"stream,ev8\", \"insts\": 1000000, "
-            "\"arena\": \"require\"}");
-        EXPECT_FALSE(r.at("ok").asBool());
-        EXPECT_EQ(r.at("reason").asString(), "over_budget");
-        EXPECT_EQ(server.stats().jobsRejected, 1u);
-        server.stop(true);
-    }
 }
 
 TEST(Serve, OverBudgetAutoJobFallsBackToPrivateWindows)
@@ -436,23 +433,34 @@ TEST(Serve, OverBudgetAutoJobFallsBackToPrivateWindows)
     Server server(cfg);
     server.start();
 
+    // The submit spells "arena": "auto", as perfbench does.
+    std::string submit = kSubmit6;
+    submit.insert(submit.size() - 1, ", \"arena\": \"auto\"");
     std::vector<std::string> raw;
-    std::vector<JsonValue> frames;
+    std::vector<JsonValue> lines, frames;
     {
         ServeClient client(cfg.socketPath);
         EXPECT_TRUE(client.submitStream(
-            kSubmit6,
+            submit,
             [&](const JsonValue &parsed, const std::string &line) {
                 raw.push_back(line);
+                lines.push_back(parsed);
                 if (parsed.find("point"))
                     frames.push_back(parsed);
                 return true;
             }));
     }
     ASSERT_EQ(frames.size(), 6u);
+    ASSERT_EQ(lines.size(), 8u); // ack + 6 frames + summary
+    // Only the row frames report the governor's choice.
+    EXPECT_TRUE(lines.front().at("ok").asBool());
+    EXPECT_EQ(lines.front().find("arena"), nullptr) << raw.front();
+    EXPECT_EQ(lines.back().at("state").asString(), "done");
+    EXPECT_EQ(lines.back().find("arena"), nullptr) << raw.back();
     std::string rows_doc = "{\"wall_seconds\": 0, \"rows\": [";
     for (std::size_t i = 0; i < frames.size(); ++i) {
         // The frames say so: these rows replayed private windows.
+        ASSERT_NE(frames[i].find("arena"), nullptr) << raw[1 + i];
         EXPECT_FALSE(frames[i].at("arena").asBool());
         rows_doc += (i ? "," : "") + rowPayload(raw[1 + i]);
     }

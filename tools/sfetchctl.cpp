@@ -7,8 +7,7 @@
  *             [--arch SPEC[,SPEC...]]
  *             [--bench SPEC[,SPEC...]|all] [--widths 2,4,8]
  *             [--layout base|opt] [--insts N] [--warmup N]
- *             [--jobs N] [--arena auto|off|require]
- *             [--token TOKEN]
+ *             [--jobs N] [--token TOKEN]
  *   sfetchctl [--connect ADDR] status JOB
  *   sfetchctl [--connect ADDR] cancel JOB
  *   sfetchctl [--connect ADDR] stats
@@ -30,8 +29,10 @@
  *
  * submit prints every streamed line (ack, row frames, summary) to
  * stdout as it arrives, so `sfetchctl submit ... | jq` follows a
- * sweep live. Exit status: 0 on success, 1 when the daemon rejects
- * or the job fails, 2 on usage errors.
+ * sweep live. The daemon's memory governor chooses whether a row
+ * replays a shared arena or a private window; each row frame's
+ * "arena" flag reports that choice. Exit status: 0 on success, 1
+ * when the daemon rejects or the job fails, 2 on usage errors.
  *
  * --token makes a submit idempotent against a journalled daemon
  * (--state-dir): resubmitting the same token after a crash either
@@ -58,8 +59,7 @@ std::string
 submitJson(const std::string &arch, const std::string &bench,
            const std::string &widths, const std::string &layout,
            std::uint64_t insts, std::uint64_t warmup, bool warmup_set,
-           unsigned jobs, bool jobs_set, const std::string &arena,
-           const std::string &token)
+           unsigned jobs, bool jobs_set, const std::string &token)
 {
     JsonObjectWriter w;
     w.field("verb", "submit");
@@ -82,8 +82,6 @@ submitJson(const std::string &arch, const std::string &bench,
         w.field("warmup", warmup);
     if (jobs_set)
         w.field("jobs", static_cast<std::uint64_t>(jobs));
-    if (!arena.empty())
-        w.field("arena", arena);
     if (!token.empty())
         w.field("token", token);
     return w.str();
@@ -97,7 +95,7 @@ main(int argc, char **argv)
     std::string socket_path = "/tmp/sfetchd.sock";
     std::string command;
     std::string job_arg;
-    std::string arch, bench, widths, layout, arena, token;
+    std::string arch, bench, widths, layout, token;
     std::uint64_t insts = 0, warmup = 0;
     bool warmup_set = false;
     unsigned jobs = 0;
@@ -144,9 +142,6 @@ main(int argc, char **argv)
                       jobs = CliParser::parseUnsignedList(v).at(0);
                       jobs_set = true;
                   });
-    cli.addOption("--arena", "auto|off|require",
-                  "arena policy (submit; default auto)",
-                  [&](const std::string &v) { arena = v; });
     cli.addOption("--token", "TOKEN",
                   "idempotency token (submit; resubmits attach to or "
                   "deduplicate the journalled job)",
@@ -186,8 +181,7 @@ main(int argc, char **argv)
             bool ok_summary = false;
             const bool done = client.submitStream(
                 submitJson(arch, bench, widths, layout, insts,
-                           warmup, warmup_set, jobs, jobs_set,
-                           arena, token),
+                           warmup, warmup_set, jobs, jobs_set, token),
                 [&](const JsonValue &parsed, const std::string &raw) {
                     std::printf("%s\n", raw.c_str());
                     std::fflush(stdout);
